@@ -23,7 +23,7 @@ from .model import (BilevelInstance, NonsmoothTerm, PenalizedObjective,
                     lipschitz_least_squares, lipschitz_logistic,
                     logistic_min_norm_problem, logistic_smooth_term,
                     logistic_value_grad, max_affine, min_norm_problem,
-                    squared_norm_term, validation_regression_problem)
+                    squared_norm_term)
 from .penalty import (Certificate, PenaltyPlan, certify, gamma_star,
                       gamma_total, implied_lower_gap, make_plan,
                       suboptimality_lower_bound)

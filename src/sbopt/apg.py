@@ -75,12 +75,14 @@ class SolverTrace:
     total_iterations: int = 0
 
     def record(self, objective, k, x, step_norm, t0, best=None):
+        # Stamped before the evaluations below, so a row's timestamp does
+        # not include the cost of recording that row.
+        self.elapsed.append(time.perf_counter() - t0)
         self.ks.append(k)
         self.phi_values.append(objective.value(x))
         self.f_values.append(objective.f_value(x) if objective.f_value else math.nan)
         self.g_gaps.append(objective.g_gap(x) if objective.g_gap else math.nan)
         self.step_norms.append(step_norm)
-        self.elapsed.append(time.perf_counter() - t0)
         if best is not None:
             self.phi_best.append(best)
 

@@ -125,6 +125,8 @@ class RunReport:
     config: dict
     g_star: float = math.nan
     g_star_certificate: float = math.nan
+    g_star_method: str = ""
+    g_star_iterations: int = 0
     f_star: float = math.nan
     relaxation: float = math.nan
     achieved_relaxation_gap: float = math.nan
@@ -439,6 +441,8 @@ def _report_json(report: RunReport, fixed_clock: bool) -> str:
         "references": {
             "g_star": report.g_star,
             "g_star_certificate": report.g_star_certificate,
+            "g_star_method": report.g_star_method,
+            "g_star_iterations": report.g_star_iterations,
             "f_star": report.f_star,
             "relaxation": report.relaxation,
             "achieved_relaxation_gap": report.achieved_relaxation_gap,
@@ -477,6 +481,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     report = RunReport(config=dataclasses.asdict(cfg))
     report.g_star = ref.g_star
     report.g_star_certificate = ref.residual_certificate
+    report.g_star_method = ref.method
+    report.g_star_iterations = ref.iterations
     report.f_star = upper.f_star
     report.relaxation = cfg.relaxation
     report.achieved_relaxation_gap = upper.achieved_lower_gap

@@ -376,9 +376,17 @@ def least_squares_value_grad(A, b, x):
     return float(r @ r) / (2.0 * m), (A.T @ r) / m
 
 
+def _frozen_copy(a) -> np.ndarray:
+    """A private read-only float copy, so a term's oracles and its cached
+    constants cannot drift apart when the caller's array changes."""
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
 def logistic_smooth_term(A, b) -> SmoothTerm:
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
+    A = _frozen_copy(A)
+    b = _frozen_copy(b)
     L = lipschitz_logistic(A)
     return SmoothTerm(lambda x: logistic_value_grad(A, b, x)[0],
                       lambda x: logistic_value_grad(A, b, x)[1], L, 0.0,
@@ -386,8 +394,8 @@ def logistic_smooth_term(A, b) -> SmoothTerm:
 
 
 def least_squares_smooth_term(A, b) -> SmoothTerm:
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
+    A = _frozen_copy(A)
+    b = _frozen_copy(b)
     L = lipschitz_least_squares(A)
     return SmoothTerm(lambda x: least_squares_value_grad(A, b, x)[0],
                       lambda x: least_squares_value_grad(A, b, x)[1], L, 0.0,
@@ -481,17 +489,3 @@ def elastic_net_problem(A, b, tau: float = 0.02,
                            g2=NonsmoothTerm.zero(),
                            alpha=alpha, rho=rho, subgrad_diameter=l_f)
 
-
-def validation_regression_problem(A_tr, b_tr, A_val, b_val,
-                                  alpha: float = 2.0, rho: float = 1.0,
-                                  l_f: Optional[float] = None) -> BilevelInstance:
-    """Pick among the minimizers of the training loss by validation loss."""
-    A_tr = np.asarray(A_tr, dtype=float)
-    n = A_tr.shape[1]
-    if l_f is None:
-        l_f = math.sqrt(n) + 1.0
-    return BilevelInstance(dim=n, f1=least_squares_smooth_term(A_val, b_val),
-                           f2=NonsmoothTerm.zero(),
-                           g1=least_squares_smooth_term(A_tr, b_tr),
-                           g2=NonsmoothTerm.zero(),
-                           alpha=alpha, rho=rho, subgrad_diameter=l_f)

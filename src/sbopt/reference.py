@@ -83,6 +83,11 @@ def _lower_objective(instance: BilevelInstance) -> PenalizedObjective:
     return PenalizedObjective(gamma=1.0, phi=instance.g1, psi=psi)
 
 
+# Length of the first segment of the accelerated G* run; later segments
+# double up to ``chunk``.
+FIRST_CHECKPOINT = 100
+
+
 def lower_opt_value(instance: BilevelInstance, tolerance: float = 1e-12,
                     max_iters: int = 10_000_000,
                     chunk: int = 50_000) -> ReferenceReport:
@@ -90,8 +95,13 @@ def lower_opt_value(instance: BilevelInstance, tolerance: float = 1e-12,
 
     Unconstrained least-squares lower levels use the min-norm route and a
     normal-equation residual certificate; anything else runs the accelerated
-    engine with restart until the gradient-mapping norm reaches ``tolerance``
-    (hard cap ``max_iters``, then Nonconvergence carrying the best value).
+    engine with restart in segments of FIRST_CHECKPOINT, twice that, four
+    times that, ... iterations (each at most ``chunk``), every segment
+    restarting the engine from the last iterate.  The gradient-mapping norm
+    is checked after each segment and the run returns as soon as it reaches
+    ``tolerance``, reporting the iterations actually run.  ``max_iters`` is a
+    hard cap (the last segment is cut to fit it); reaching it raises
+    Nonconvergence carrying the best value and its certificate.
     """
     g1, g2 = instance.g1, instance.g2
     if g1.tag == "least_squares" and g1.payload is not None:
@@ -109,15 +119,18 @@ def lower_opt_value(instance: BilevelInstance, tolerance: float = 1e-12,
         raise Nonconvergence("lower level has no smooth part to drive")
     x = np.zeros(instance.dim)
     total = 0
+    step = min(FIRST_CHECKPOINT, chunk)
     mu = instance.g1.strong_convexity
     while total < max_iters:
-        cfg = ApgConfig(epsilon=1e-18, max_iters=min(chunk, max_iters - total),
-                        step_tolerance=0.0, restart=True, record_every=chunk)
+        segment = min(step, max_iters - total)
+        cfg = ApgConfig(epsilon=1e-18, max_iters=segment, step_tolerance=0.0,
+                        restart=True, record_every=segment)
         if mu > 0:
             x, trace = pb_apg_sc(objective, mu, x, cfg)
         else:
             x, trace = pb_apg(objective, x, cfg)
         total += max(trace.total_iterations, 1)
+        step = min(2 * step, chunk)
         gm = gradient_mapping_norm(objective, x)
         if gm <= tolerance:
             return ReferenceReport(g_star=instance.lower_value(x), f_star=None,

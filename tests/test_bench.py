@@ -93,7 +93,12 @@ class TestRunExperiment:
         assert summary[1].startswith("pb_apg,")
         assert summary[1].endswith(",pass")
         payload = json.loads((tmp_path / "report.json").read_text())
-        assert payload["references"]["g_star"] == report.g_star
+        refs = payload["references"]
+        assert refs["g_star"] == report.g_star
+        # the evidence behind G*: the logistic lower level takes the
+        # certified accelerated route and reports the iterations it ran
+        assert refs["g_star_method"] == report.g_star_method == "accelerated_restart"
+        assert refs["g_star_iterations"] == report.g_star_iterations > 0
 
     def test_summary_gaps_match_recompute(self, tmp_path):
         cfg = build_config({**FAST, "solvers": "pb_apg,apb_apg",

@@ -97,6 +97,25 @@ class TestSmoothTermContracts:
             lhs = np.linalg.norm(term.grad(x) - term.grad(y))
             assert lhs <= term.lipschitz_grad * np.linalg.norm(x - y) * (1 + 1e-9)
 
+    def test_shipped_losses_do_not_alias_caller_arrays(self):
+        rng = np.random.default_rng(5)
+        A = rng.normal(size=(7, 5))
+        b = rng.choice([-1.0, 1.0], size=7)
+        x = rng.normal(size=5)
+        for make in (sbopt.logistic_smooth_term, sbopt.least_squares_smooth_term):
+            A_own, b_own = A.copy(), b.copy()
+            term = make(A_own, b_own)
+            value, grad, lip = term.value(x), term.grad(x), term.lipschitz_grad
+            A_own *= 10.0
+            b_own *= -1.0
+            assert term.value(x) == value
+            np.testing.assert_array_equal(term.grad(x), grad)
+            assert term.lipschitz_grad == lip
+            for arr in term.payload:
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 0.0
+
     def test_strong_convexity_quadratic_lower_bound(self):
         # upper level of the logistic family: (1/2)||x||^2 with mu = 1
         term = squared_norm_term(1.0)

@@ -87,15 +87,33 @@ class TestLowerOptValue:
         assert report.residual_certificate <= 1e-12
         assert report.g_star > 0.0
 
+    def test_logistic_route_stops_at_first_certified_checkpoint(self):
+        from sbopt.apg import ApgConfig, pb_apg
+        from sbopt.reference import _lower_objective
+        inst, _ = synth_lrp(30, 8, seed=5)
+        report = lower_opt_value(inst)
+        assert report.method == "accelerated_restart"
+        assert report.iterations <= 400
+        # one uninterrupted 50,000-iteration restarted run
+        x, _ = pb_apg(_lower_objective(inst), np.zeros(8),
+                      ApgConfig(epsilon=1e-18, max_iters=50_000,
+                                step_tolerance=0.0, restart=True,
+                                record_every=50_000))
+        bound = (2.0 * (1.0 + np.linalg.norm(report.x))
+                 * report.residual_certificate
+                 + 1e-12 * (1.0 + abs(report.g_star)))
+        assert abs(report.g_star - inst.lower_value(x)) <= bound
+
     def test_1d_quadratic(self):
         import dataclasses
         inst = dataclasses.replace(toy_quadratic_instance(), lower_opt_value=None)
         report = lower_opt_value(inst, tolerance=1e-12)
         assert abs(report.g_star) <= 1e-15
 
-    def test_iteration_cap_raises_nonconvergence(self):
+    def test_iteration_cap_raises_nonconvergence(self, monkeypatch):
         import dataclasses
 
+        import sbopt.reference as reference
         from sbopt.errors import Nonconvergence
         from sbopt.model import SmoothTerm
         rng = np.random.default_rng(8)
@@ -107,10 +125,24 @@ class TestLowerOptValue:
                         float(np.linalg.eigvalsh(Q)[-1]))
         inst = dataclasses.replace(toy_quadratic_instance(), lower_opt_value=None)
         inst = dataclasses.replace(inst, dim=4, g1=g1)
-        with pytest.raises(Nonconvergence) as err:
-            lower_opt_value(inst, tolerance=1e-30, max_iters=50, chunk=25)
-        assert err.value.best_value is not None
-        assert err.value.certificate is not None
+        segments = []
+
+        def counting_pb_apg(objective, x0, config, _run=reference.pb_apg):
+            x, trace = _run(objective, x0, config)
+            segments.append(trace.total_iterations)
+            return x, trace
+
+        monkeypatch.setattr(reference, "pb_apg", counting_pb_apg)
+        # the second cap cuts the 200-iteration segment after 100 to 50
+        for max_iters, chunk, expected in ((50, 25, [25, 25]),
+                                           (150, 50_000, [100, 50])):
+            segments.clear()
+            with pytest.raises(Nonconvergence) as err:
+                lower_opt_value(inst, tolerance=1e-30, max_iters=max_iters,
+                                chunk=chunk)
+            assert err.value.best_value is not None
+            assert err.value.certificate is not None
+            assert segments == expected
 
 
 class TestUpperOptValue:
