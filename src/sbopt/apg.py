@@ -140,6 +140,19 @@ def _check_finite(x, trace):
         raise NonFiniteIterate("solver produced a non-finite iterate", trace)
 
 
+def _step_norm(x_next, x, trace) -> float:
+    """||x_next - x|| for 1-D iterates, as np.linalg.norm computes it
+    (sqrt of the dot product).  The finiteness scan of x_next runs only when
+    the norm is not finite: x is finite, so a non-finite x_next always makes
+    the norm non-finite, and NonFiniteIterate fires on the same iterates as
+    a scan on every step would."""
+    d = x_next - x
+    step_norm = math.sqrt(d.dot(d))
+    if not math.isfinite(step_norm):
+        _check_finite(x_next, trace)
+    return step_norm
+
+
 def _default_radius(x0, config):
     if config.radius_bound is not None:
         return config.radius_bound
@@ -189,8 +202,7 @@ def pb_apg(objective: PenalizedObjective, x0: np.ndarray,
         coeff = th * (1.0 / th_prev - 1.0)
         y = x + coeff * (x - x_prev)
         x_next = objective.prox_step(y - objective.grad_step(y))
-        _check_finite(x_next, trace)
-        step_norm = float(np.linalg.norm(x_next - x))
+        step_norm = _step_norm(x_next, x, trace)
         th_prev, th = th, next_theta(th)
         x_prev, x = x, x_next
         if config.keep_iterates:
@@ -260,8 +272,7 @@ def pb_apg_sc(objective: PenalizedObjective, mu: float, x_init: np.ndarray,
     for k in range(cap):
         y = x + beta * (x - x_prev)
         x_next = objective.prox_step(y - objective.grad_step(y))
-        _check_finite(x_next, trace)
-        step_norm = float(np.linalg.norm(x_next - x))
+        step_norm = _step_norm(x_next, x, trace)
         x_prev, x = x, x_next
         if config.keep_iterates:
             trace.iterates.append(x.copy())

@@ -353,8 +353,9 @@ def _subgrad_baseline(instance: BilevelInstance, gamma: float, x_ref):
     f_all = NonsmoothTerm.custom(instance.upper_value,
                                  subgrad_oracle=upper_subgrad,
                                  lipschitz=l_upper)
-    g_all = NonsmoothTerm.custom(lambda x: g1.value(x),
-                                 subgrad_oracle=g1.grad, lipschitz=l_lower)
+    g_all = NonsmoothTerm.custom(g1.value, subgrad_oracle=g1.grad,
+                                 lipschitz=l_lower,
+                                 value_subgrad_oracle=g1.value_grad)
     g_star = instance.lower_opt_value
     objective = assemble_nonsmooth(
         f_all, g_all, gamma, f_value=instance.upper_value,

@@ -43,12 +43,21 @@ class SmoothTerm:
     strong_convexity: float = 0.0
     tag: Optional[str] = None
     payload: Optional[tuple] = None
+    value_grad_oracle: Optional[Callable[[np.ndarray], tuple]] = None
 
     def value(self, x: np.ndarray) -> float:
         return float(self.value_oracle(x))
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         return self.gradient_oracle(x)
+
+    def value_grad(self, x: np.ndarray):
+        """Value and gradient at one point, from one fused oracle call when
+        the term has one, else from the two separate oracles."""
+        if self.value_grad_oracle is None:
+            return self.value(x), self.grad(x)
+        value, grad = self.value_grad_oracle(x)
+        return float(value), grad
 
     @staticmethod
     def zero() -> "SmoothTerm":
@@ -63,7 +72,9 @@ class NonsmoothTerm:
     (indicator of an L1 ball), ``box`` (indicator of a box), and ``custom``
     (user oracles).  Indicator kinds evaluate to 0 inside the set and +inf
     outside.  ``lipschitz`` is only meaningful for terms used in subgradient
-    mode and must be a bound over the working domain.
+    mode and must be a bound over the working domain.  A custom term may add
+    ``value_subgrad_oracle``, returning value and subgradient from one call,
+    for solvers that need both at the same point.
     """
 
     kind: str
@@ -75,6 +86,7 @@ class NonsmoothTerm:
     prox_oracle: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     subgrad_oracle: Optional[Callable[[np.ndarray], np.ndarray]] = None
     lipschitz: Optional[float] = None
+    value_subgrad_oracle: Optional[Callable[[np.ndarray], tuple]] = None
 
     @staticmethod
     def zero() -> "NonsmoothTerm":
@@ -94,28 +106,29 @@ class NonsmoothTerm:
 
     @staticmethod
     def indicator_box(lo, hi) -> "NonsmoothTerm":
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
+        lo = _frozen_copy(lo)
+        hi = _frozen_copy(hi)
         if lo.shape != hi.shape or np.any(lo > hi):
             raise ValueError("box bounds must satisfy lo <= hi elementwise")
         return NonsmoothTerm(kind="box", lo=lo, hi=hi)
 
     @staticmethod
     def custom(value_oracle, prox_oracle=None, subgrad_oracle=None,
-               lipschitz=None) -> "NonsmoothTerm":
+               lipschitz=None, value_subgrad_oracle=None) -> "NonsmoothTerm":
         return NonsmoothTerm(kind="custom", value_oracle=value_oracle,
                              prox_oracle=prox_oracle,
                              subgrad_oracle=subgrad_oracle,
-                             lipschitz=lipschitz)
+                             lipschitz=lipschitz,
+                             value_subgrad_oracle=value_subgrad_oracle)
 
     def value(self, x: np.ndarray) -> float:
         """Extended-real evaluation; indicators return +inf outside their set."""
         if self.kind == "zero":
             return 0.0
         if self.kind == "l1":
-            return self.weight * float(np.sum(np.abs(x)))
+            return self.weight * float(np.abs(x).sum())
         if self.kind == "l1_ball":
-            return 0.0 if float(np.sum(np.abs(x))) <= self.radius * (1 + 1e-12) else math.inf
+            return 0.0 if float(np.abs(x).sum()) <= self.radius * (1 + 1e-12) else math.inf
         if self.kind == "box":
             inside = np.all(x >= self.lo - 1e-12) and np.all(x <= self.hi + 1e-12)
             return 0.0 if inside else math.inf
@@ -132,8 +145,8 @@ def max_affine(A, c) -> NonsmoothTerm:
     The subgradient oracle returns the row of the lowest active index, so
     ties resolve deterministically.
     """
-    A = np.asarray(A, dtype=float)
-    c = np.asarray(c, dtype=float)
+    A = _frozen_copy(A)
+    c = _frozen_copy(c)
 
     def value(x):
         return float(np.max(A @ x + c))
@@ -342,38 +355,69 @@ def lipschitz_least_squares(A) -> float:
     return lambda_max_gram(A) / m
 
 
+# Each loss is three functions, and each formula exists once: ``parts``
+# computes what value and gradient share, ``value`` and ``grad`` finish
+# from it.  The public *_value_grad functions and the oracles of the shipped
+# terms are all built from these.
+
+def _logistic_parts(A, b, x):
+    """Margins t = b * (A x) and z = exp(-|t|)."""
+    t = b * (A @ x)
+    return t, np.exp(-np.abs(t))
+
+
+def _logistic_value(t, z) -> float:
+    # softplus(-t) = max(-t, 0) + log1p(exp(-|t|)), which cannot overflow;
+    # the mean is np.mean's own sum-then-divide, without its dispatch cost
+    losses = np.maximum(-t, 0.0) + np.log1p(z)
+    return float(losses.sum()) / losses.shape[0]
+
+
+def _logistic_grad(A, b, t, z):
+    sig_neg_t = np.where(t >= 0, z / (1.0 + z), 1.0 / (1.0 + z))
+    return -(A.T @ (b * sig_neg_t)) / A.shape[0]
+
+
+def _least_squares_parts(A, b, x):
+    return (A @ x - b,)
+
+
+def _least_squares_value(r) -> float:
+    return float(r @ r) / (2.0 * r.shape[0])
+
+
+def _least_squares_grad(A, b, r):
+    return (A.T @ r) / A.shape[0]
+
+
+_LOGISTIC = (_logistic_parts, _logistic_value, _logistic_grad)
+_LEAST_SQUARES = (_least_squares_parts, _least_squares_value, _least_squares_grad)
+
+
+def _public_value_grad(loss, A, b, x):
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if A.ndim != 2 or A.shape[0] != b.shape[0] or A.shape[1] != x.shape[0]:
+        raise DimensionMismatch(
+            f"A is {A.shape}, b is {b.shape}, x is {x.shape}")
+    parts, value, grad = loss
+    p = parts(A, b, x)
+    return value(*p), grad(A, b, *p)
+
+
 def logistic_value_grad(A, b, x):
     """Mean logistic loss (1/m) sum log(1 + exp(-b_i a_i'x)) and its gradient.
 
     Uses the softplus form max(s, 0) + log1p(exp(-|s|)) so large margins do
     not overflow.  Labels must be +-1.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if A.ndim != 2 or A.shape[0] != b.shape[0] or A.shape[1] != x.shape[0]:
-        raise DimensionMismatch(
-            f"A is {A.shape}, b is {b.shape}, x is {x.shape}")
-    m = A.shape[0]
-    t = b * (A @ x)
-    value = float(np.mean(np.maximum(-t, 0.0) + np.log1p(np.exp(-np.abs(t)))))
-    z = np.exp(-np.abs(t))
-    sig_neg_t = np.where(t >= 0, z / (1.0 + z), 1.0 / (1.0 + z))
-    grad = -(A.T @ (b * sig_neg_t)) / m
-    return value, grad
+    return _public_value_grad(_LOGISTIC, A, b, x)
 
 
 def least_squares_value_grad(A, b, x):
     """Mean squared loss (1/2m) ||Ax - b||^2 and its gradient."""
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if A.ndim != 2 or A.shape[0] != b.shape[0] or A.shape[1] != x.shape[0]:
-        raise DimensionMismatch(
-            f"A is {A.shape}, b is {b.shape}, x is {x.shape}")
-    m = A.shape[0]
-    r = A @ x - b
-    return float(r @ r) / (2.0 * m), (A.T @ r) / m
+    return _public_value_grad(_LEAST_SQUARES, A, b, x)
 
 
 def _frozen_copy(a) -> np.ndarray:
@@ -384,22 +428,42 @@ def _frozen_copy(a) -> np.ndarray:
     return a
 
 
-def logistic_smooth_term(A, b) -> SmoothTerm:
+def _loss_term(loss, A, b, lipschitz, tag) -> SmoothTerm:
+    """A shipped loss as a term.  It keeps read-only copies of A and b and
+    checks their shapes here, once; each oracle call then only compares the
+    shape of x.  ``value`` skips the gradient's A'(.) product, ``grad`` skips
+    the value, and ``value_grad`` computes the shared parts once."""
     A = _frozen_copy(A)
     b = _frozen_copy(b)
-    L = lipschitz_logistic(A)
-    return SmoothTerm(lambda x: logistic_value_grad(A, b, x)[0],
-                      lambda x: logistic_value_grad(A, b, x)[1], L, 0.0,
-                      tag="logistic", payload=(A, b))
+    if A.ndim != 2 or b.shape != A.shape[:1]:
+        raise DimensionMismatch(f"A is {A.shape}, b is {b.shape}")
+    shape = (A.shape[1],)
+    parts, value, grad = loss
+
+    def parts_at(x):
+        if type(x) is not np.ndarray:
+            x = np.asarray(x, dtype=float)
+        if x.shape != shape:
+            raise DimensionMismatch(f"x is {x.shape}, expected {shape}")
+        return parts(A, b, x)
+
+    def value_grad(x):
+        p = parts_at(x)
+        return value(*p), grad(A, b, *p)
+
+    return SmoothTerm(lambda x: value(*parts_at(x)),
+                      lambda x: grad(A, b, *parts_at(x)),
+                      lipschitz(A), 0.0, tag=tag, payload=(A, b),
+                      value_grad_oracle=value_grad)
+
+
+def logistic_smooth_term(A, b) -> SmoothTerm:
+    return _loss_term(_LOGISTIC, A, b, lipschitz_logistic, "logistic")
 
 
 def least_squares_smooth_term(A, b) -> SmoothTerm:
-    A = _frozen_copy(A)
-    b = _frozen_copy(b)
-    L = lipschitz_least_squares(A)
-    return SmoothTerm(lambda x: least_squares_value_grad(A, b, x)[0],
-                      lambda x: least_squares_value_grad(A, b, x)[1], L, 0.0,
-                      tag="least_squares", payload=(A, b))
+    return _loss_term(_LEAST_SQUARES, A, b, lipschitz_least_squares,
+                      "least_squares")
 
 
 def squared_norm_term(weight: float = 1.0) -> SmoothTerm:

@@ -17,10 +17,10 @@ from typing import Optional
 
 import numpy as np
 
-from .apg import SolverTrace
-from .errors import (InfeasibleStart, InvalidStrongConvexity, NonFiniteIterate,
+from .apg import SolverTrace, _step_norm
+from .errors import (InfeasibleStart, InvalidStrongConvexity,
                      UnsupportedTerm)
-from .model import NonsmoothTerm, PenalizedObjective, SmoothTerm
+from .model import NonsmoothTerm, PenalizedObjective, SmoothTerm, _frozen_copy
 from .prox import ProxSpec, project_box, project_l1_ball
 
 
@@ -45,8 +45,8 @@ class Domain:
 
     @staticmethod
     def box(lo, hi) -> "Domain":
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
+        lo = _frozen_copy(lo)
+        hi = _frozen_copy(hi)
         if np.any(lo > hi):
             raise ValueError("box bounds must satisfy lo <= hi")
         return Domain(kind="box", lo=lo, hi=hi)
@@ -127,6 +127,16 @@ def subgradient_oracle(term, x: np.ndarray) -> np.ndarray:
     raise UnsupportedTerm(f"no subgradient oracle for term kind '{term.kind}'")
 
 
+def _value_and_subgradient(term: NonsmoothTerm, x: np.ndarray):
+    """Value and subgradient of a nonsmooth term at x: one call of a custom
+    term's fused oracle when it has one, else ``value`` and
+    ``subgradient_oracle``."""
+    if term.value_subgrad_oracle is not None:
+        value, sub = term.value_subgrad_oracle(x)
+        return float(value), sub
+    return term.value(x), subgradient_oracle(term, x)
+
+
 def assemble_nonsmooth(f2: NonsmoothTerm, g2: NonsmoothTerm, gamma: float,
                        f_value=None, g_gap=None) -> PenalizedObjective:
     """Penalized objective f2 + gamma*g2 in subgradient mode: no smooth part,
@@ -162,15 +172,20 @@ def subgrad_solve(objective: PenalizedObjective, x0: np.ndarray,
         raise UnsupportedTerm("objective carries no subgradient Lipschitz constant")
 
     f2, g2, gamma = objective.psi.f2, objective.psi.g2, objective.psi.gamma
-    scale = objective.scale
+    scale, phi = objective.scale, objective.phi
 
-    def subgrad(x):
-        return scale * (subgradient_oracle(f2, x) + gamma * subgradient_oracle(g2, x))
+    def value_and_subgrad(x):
+        # objective.value(x) and the penalized subgradient at x, with each
+        # term evaluated once and the same arithmetic as the separate calls
+        v_f, s_f = _value_and_subgradient(f2, x)
+        v_g, s_g = _value_and_subgradient(g2, x)
+        psi = math.inf if math.isinf(v_f) or math.isinf(v_g) else v_f + gamma * v_g
+        return scale * (phi.value(x) + psi), scale * (s_f + gamma * s_g)
 
     trace = SolverTrace()
     t0 = time.perf_counter()
     x = x0.copy()
-    best_val = objective.value(x)
+    best_val, sub = value_and_subgrad(x)
     x_best = x.copy()
     trace.record(objective, 0, x, 0.0, t0, best=best_val)
     if config.keep_iterates:
@@ -182,15 +197,12 @@ def subgrad_solve(objective: PenalizedObjective, x0: np.ndarray,
             eta = config.schedule.radius / (l_gamma * math.sqrt(k + 1.0))
         else:
             eta = 2.0 / (config.schedule.mu * (k + 1.0))
-        x_next = config.domain.project(x - eta * subgrad(x))
-        if not np.all(np.isfinite(x_next)):
-            raise NonFiniteIterate("subgradient step produced a non-finite iterate",
-                                   trace)
-        step_norm = float(np.linalg.norm(x_next - x))
+        x_next = config.domain.project(x - eta * sub)
+        step_norm = _step_norm(x_next, x, trace)
         x = x_next
         if config.keep_iterates:
             trace.iterates.append(x.copy())
-        val = objective.value(x)
+        val, sub = value_and_subgrad(x)
         if val < best_val:
             best_val = val
             x_best = x.copy()

@@ -164,6 +164,41 @@ class TestPbApg:
             pb_apg(obj, np.ones(1), ApgConfig(epsilon=1e-20, radius_bound=1e6))
         assert err.value.trace is not None  # diagnostic trace attached
 
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_non_finite_detection_sc(self):
+        obj = _plain_objective(lambda x: float(x @ x), lambda x: 2.0 * x,
+                               0.01, mu=0.001)
+        with pytest.raises(NonFiniteIterate) as err:
+            pb_apg_sc(obj, 0.001, np.ones(1),
+                      ApgConfig(epsilon=1e-300, radius_bound=1e6))
+        assert err.value.trace is not None
+        assert err.value.trace.ks  # rows were recorded before the blow-up
+
+    @pytest.mark.parametrize("engine", ["pb_apg", "pb_apg_sc"])
+    def test_nan_gradient_raises_at_first_bad_iterate(self, engine):
+        calls = []
+
+        def grad(x):
+            calls.append(1)
+            return np.full_like(x, np.nan) if len(calls) >= 5 else 2.0 * x
+
+        obj = _plain_objective(lambda x: float(x @ x), grad, 2.0, mu=2.0)
+        cfg = ApgConfig(epsilon=1e-12, max_iters=50, keep_iterates=True)
+        with pytest.raises(NonFiniteIterate) as err:
+            if engine == "pb_apg":
+                pb_apg(obj, np.ones(3), cfg)
+            else:
+                pb_apg_sc(obj, 1.0, np.ones(3), cfg)
+        trace = err.value.trace
+        assert trace is not None
+        # pb_apg spends one gradient per iteration and pb_apg_sc two more on
+        # its warm-up, so the NaN from the fifth call makes iterate 5 or 3
+        # non-finite; every iterate before it is in the trace
+        last = 4 if engine == "pb_apg" else 2
+        assert trace.ks == list(range(last + 1))
+        assert len(trace.iterates) == last + 1
+        assert all(np.all(np.isfinite(it)) for it in trace.iterates)
+
     def test_determinism(self):
         obj, _, b, _, _, _ = quad_l1_objective(101)
         x0 = np.zeros(b.size)

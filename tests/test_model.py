@@ -116,6 +116,19 @@ class TestSmoothTermContracts:
                 with pytest.raises(ValueError):
                     arr[0] = 0.0
 
+    def test_shipped_losses_reject_wrong_length_points(self):
+        rng = np.random.default_rng(8)
+        A = rng.normal(size=(6, 4))
+        b = rng.choice([-1.0, 1.0], size=6)
+        for make in (sbopt.logistic_smooth_term, sbopt.least_squares_smooth_term):
+            term = make(A, b)
+            for x in (np.zeros(3), np.zeros(5), np.zeros((4, 1))):
+                for oracle in (term.value, term.grad, term.value_grad):
+                    with pytest.raises(DimensionMismatch):
+                        oracle(x)
+            with pytest.raises(DimensionMismatch):
+                make(A, b[:5])
+
     def test_strong_convexity_quadratic_lower_bound(self):
         # upper level of the logistic family: (1/2)||x||^2 with mu = 1
         term = squared_norm_term(1.0)
@@ -146,6 +159,24 @@ class TestNonsmoothTerm:
                           np.array([0.0, 0.0, 0.0]))
         g = term.subgrad_oracle(np.array([1.0, 1.0]))  # rows 0,1,2 all tie
         np.testing.assert_array_equal(g, np.array([1.0, 0.0]))
+
+    def test_max_affine_and_box_do_not_alias_caller_arrays(self):
+        A = np.array([[1.0, 0.0], [0.0, 1.0]])
+        c = np.array([1.0, 0.0])
+        term = max_affine(A, c)
+        x = np.array([1.0, 0.5])
+        value, lip = term.value(x), term.lipschitz
+        assert (value, lip) == (2.0, 1.0)
+        A *= 10.0
+        assert term.value(x) == value
+        assert term.lipschitz == lip
+        np.testing.assert_array_equal(term.subgrad_oracle(x), [1.0, 0.0])
+
+        lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
+        box = NonsmoothTerm.indicator_box(lo, hi)
+        hi[:] = lo
+        assert box.value(np.array([0.5, -0.5])) == 0.0
+        assert not box.lo.flags.writeable and not box.hi.flags.writeable
 
     def test_max_affine_subgradient_inequality(self):
         rng = np.random.default_rng(9)

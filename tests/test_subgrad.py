@@ -56,6 +56,14 @@ class TestDomain:
         assert allsp.contains(np.array([1e9]))
         assert not allsp.bounded
 
+    def test_box_does_not_alias_caller_arrays(self):
+        lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
+        box = Domain.box(lo, hi)
+        hi[:] = lo
+        inside = np.array([0.5, -0.5])
+        assert box.contains(inside)
+        np.testing.assert_array_equal(box.project(inside), inside)
+
 
 class TestAbsoluteValueExample:
     """Phi = |x| on [-1, 1] from x0 = 1 with the diminishing schedule."""
