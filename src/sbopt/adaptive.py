@@ -52,7 +52,13 @@ class LadderConfig:
 
 @dataclass
 class LadderStage:
-    """One outer stage: its penalty, target accuracy, output and trace."""
+    """One outer stage: its penalty, target accuracy, output and trace.
+
+    ``radius_certified`` tells whether the stage ran with a certified
+    distance bound: one fixed by the caller, or carried from the previous
+    stage's strong convexity.  Otherwise the engine fell back to the
+    uncertified ||x|| + 1, and the stage's iteration budget certifies
+    nothing."""
 
     index: int
     gamma: float
@@ -60,6 +66,7 @@ class LadderStage:
     x: np.ndarray
     trace: object
     g_gap: Optional[float] = None
+    radius_certified: bool = False
 
 
 def ladder_entry_index(alpha: float, rho: float, l_f: float, epsilon0: float,
@@ -119,7 +126,8 @@ def _run_ladder(instance: BilevelInstance, x0, ladder: LadderConfig,
         if instance.lower_opt_value is not None:
             g_gap = instance.lower_gap(x)
         stages.append(LadderStage(index=k, gamma=gamma_k, epsilon=eps_k,
-                                  x=x.copy(), trace=trace, g_gap=g_gap))
+                                  x=x.copy(), trace=trace, g_gap=g_gap,
+                                  radius_certified=radius is not None))
         if eps_k <= ladder.stop_epsilon * (1.0 + 1e-9):
             break
         if not fixed_radius:

@@ -5,6 +5,13 @@ by ``next_theta`` (equality root, starting from theta = 1) and the iteration
 budget that certifies a target accuracy from the smoothness constant and an
 initial-distance bound.  ``pb_apg_sc`` is the constant-momentum variant for a
 strongly convex smooth part, with its two warm-up steps and geometric rate.
+Both run one loop, which differs only in its momentum policy.
+
+Optional adaptive restart uses the composite gradient test of O'Donoghue and
+Candes (Adaptive restart for accelerated gradient schemes, Found. Comput.
+Math. 15, 2015): the momentum is reset when
+(y_k - x_{k+1}) . (x_{k+1} - x_k) > 0.  The test needs no objective value,
+so a restarted run evaluates the objective only on the rows it records.
 
 Runs are single threaded and deterministic: identical inputs produce
 identical iterates.  Wall-clock stamps in traces are the only
@@ -31,8 +38,9 @@ class ApgConfig:
     ``epsilon`` is the accuracy target driving the theoretical iteration
     budget; ``radius_bound`` is the distance bound R with ||x0 - x*|| <= R
     (defaults to ||x0|| + 1 when omitted).  ``step_tolerance`` > 0 enables the
-    practical stop on ||x_{k+1} - x_k||.  ``restart`` enables function-value
-    restart of the momentum; leave it off when the theoretical rate must hold
+    practical stop on ||x_{k+1} - x_k||.  ``restart`` enables gradient
+    restart of the momentum (O'Donoghue and Candes, 2015), which evaluates no
+    objective value; leave it off when the theoretical rate must hold
     verbatim.
     """
 
@@ -60,7 +68,8 @@ class SolverTrace:
     ``ks`` is strictly increasing and ``elapsed`` nondecreasing; the terminal
     iterate is always recorded.  ``f_values`` and ``g_gaps`` hold NaN when the
     objective carries no instance link.  ``phi_best`` is populated by the
-    subgradient solver only.
+    subgradient solver only.  ``restarts`` counts the momentum resets of a
+    restarted accelerated run.
     """
 
     ks: list = field(default_factory=list)
@@ -73,6 +82,7 @@ class SolverTrace:
     iterates: list = field(default_factory=list)
     terminal_reason: str = ""
     total_iterations: int = 0
+    restarts: int = 0
 
     def record(self, objective, k, x, step_norm, t0, best=None):
         # Stamped before the evaluations below, so a row's timestamp does
@@ -140,13 +150,12 @@ def _check_finite(x, trace):
         raise NonFiniteIterate("solver produced a non-finite iterate", trace)
 
 
-def _step_norm(x_next, x, trace) -> float:
-    """||x_next - x|| for 1-D iterates, as np.linalg.norm computes it
+def _step_norm(d, x_next, trace) -> float:
+    """||d|| for the 1-D step d = x_next - x, as np.linalg.norm computes it
     (sqrt of the dot product).  The finiteness scan of x_next runs only when
     the norm is not finite: x is finite, so a non-finite x_next always makes
     the norm non-finite, and NonFiniteIterate fires on the same iterates as
     a scan on every step would."""
-    d = x_next - x
     step_norm = math.sqrt(d.dot(d))
     if not math.isfinite(step_norm):
         _check_finite(x_next, trace)
@@ -157,6 +166,54 @@ def _default_radius(x0, config):
     if config.radius_bound is not None:
         return config.radius_bound
     return float(np.linalg.norm(x0)) + 1.0
+
+
+def _accelerate(objective: PenalizedObjective, x: np.ndarray, budget: int,
+                beta: Optional[float], config: ApgConfig, trace: SolverTrace,
+                t0: float):
+    """The accelerated loop shared by both engines, started at x = x_0 with
+    x_{-1} = x_0.
+
+    The momentum policy is the constant ``beta``, or, when ``beta`` is None,
+    t_k (1/t_{k-1} - 1) with t_{-1} = t_0 = 1 and t_{k+1} = next_theta(t_k).
+    With ``config.restart`` the momentum is reset whenever the composite
+    gradient restart test (y_k - x_{k+1}) . (x_{k+1} - x_k) > 0 holds.
+    """
+    cap = budget if config.max_iters is None else min(budget, config.max_iters)
+    reason = "max_iters" if cap < budget else "budget_reached"
+    x = x_prev = x.copy()
+    th_prev = th = 1.0
+    trace.record(objective, 0, x, 0.0, t0)
+    if config.keep_iterates:
+        trace.iterates.append(x.copy())
+    for k in range(cap):
+        coeff = beta if beta is not None else th * (1.0 / th_prev - 1.0)
+        y = x + coeff * (x - x_prev)
+        x_next = objective.prox_step(y - objective.grad_step(y))
+        d = x_next - x
+        step_norm = _step_norm(d, x_next, trace)
+        if beta is None:
+            th_prev, th = th, next_theta(th)
+        x_prev, x = x, x_next
+        if config.keep_iterates:
+            trace.iterates.append(x.copy())
+        # y - x_{k+1} is the prox-gradient step taken at y, so a positive
+        # product means the momentum carried the iterate uphill.
+        if config.restart and (y - x).dot(d) > 0.0:
+            th_prev, th = 1.0, 1.0
+            x_prev = x
+            trace.restarts += 1
+        done = (k + 1 == cap) or (config.step_tolerance > 0.0
+                                  and step_norm <= config.step_tolerance)
+        if (k + 1) % config.record_every == 0 or done:
+            trace.record(objective, k + 1, x, step_norm, t0)
+        if done:
+            if k + 1 < cap:
+                reason = "step_tolerance"
+            trace.total_iterations = k + 1
+            break
+    trace.terminal_reason = reason
+    return x, trace
 
 
 def pb_apg(objective: PenalizedObjective, x0: np.ndarray,
@@ -170,8 +227,10 @@ def pb_apg(objective: PenalizedObjective, x0: np.ndarray,
         x_{k+1} = prox_{psi/L}( y_k - grad phi(y_k)/L ).
 
     Runs for min(iteration_budget, max_iters) iterations or until the step
-    norm drops to ``step_tolerance``.  With the true distance bound R the
-    final value satisfies  Phi(x_K) - Phi* <= 2 L R^2/(K+1)^2.
+    norm drops to ``step_tolerance``.  With the true distance bound R and
+    restart off, the final value satisfies
+    Phi(x_K) - Phi* <= 2 L R^2/(K+1)^2.  A restart sets t_{k-1} = t_k = 1
+    and x_k = x_{k+1}, so the next extrapolation is zero.
 
     Returns the final iterate and the trace.
     """
@@ -183,49 +242,8 @@ def pb_apg(objective: PenalizedObjective, x0: np.ndarray,
 
     radius = _default_radius(x0, config)
     budget = iteration_budget(objective.l_gamma, radius, config.epsilon)
-    cap = budget if config.max_iters is None else min(budget, config.max_iters)
-
-    trace = SolverTrace()
     t0 = time.perf_counter()
-    x_prev = x0.copy()
-    x = x0.copy()
-    th_prev = th = 1.0
-    phi_mark = objective.value(x) if config.restart else 0.0
-    trace.record(objective, 0, x, 0.0, t0)
-    if config.keep_iterates:
-        trace.iterates.append(x.copy())
-
-    reason = "budget_reached"
-    if config.max_iters is not None and config.max_iters < budget:
-        reason = "max_iters"
-    for k in range(cap):
-        coeff = th * (1.0 / th_prev - 1.0)
-        y = x + coeff * (x - x_prev)
-        x_next = objective.prox_step(y - objective.grad_step(y))
-        step_norm = _step_norm(x_next, x, trace)
-        th_prev, th = th, next_theta(th)
-        x_prev, x = x, x_next
-        if config.keep_iterates:
-            trace.iterates.append(x.copy())
-        if config.restart:
-            val = objective.value(x)
-            if val > phi_mark:
-                th_prev, th = 1.0, 1.0
-                x_prev = x
-            phi_mark = val
-        done = (k + 1 == cap) or (config.step_tolerance > 0.0
-                                  and step_norm <= config.step_tolerance)
-        if (k + 1) % config.record_every == 0 or done:
-            trace.record(objective, k + 1, x, step_norm, t0)
-        if done:
-            if k + 1 < cap:
-                reason = "step_tolerance"
-            trace.total_iterations = k + 1
-            break
-    else:
-        trace.total_iterations = 0
-    trace.terminal_reason = reason
-    return x, trace
+    return _accelerate(objective, x0, budget, None, config, SolverTrace(), t0)
 
 
 def pb_apg_sc(objective: PenalizedObjective, mu: float, x_init: np.ndarray,
@@ -237,11 +255,12 @@ def pb_apg_sc(objective: PenalizedObjective, mu: float, x_init: np.ndarray,
 
         y~ = y_0 - grad phi(x_{-1})/L,    x~ = prox(y~ - grad phi(y~)/L)
 
-    with x_{-1} = y_0 = x_init, then iterates with momentum
+    with x_{-1} = y_0 = x_init, then iterates from x~ with momentum
     (sqrt(L) - sqrt(mu)) / (sqrt(L) + sqrt(mu)).  With
-    max(||y_0 - x*||, ||x~ - x*||) <= R the recorded values satisfy
-    Phi(x_k) - Phi* <= ((L+mu)/2) R^2 (1 - sqrt(mu/L))^k, where k counts
-    post-warm-up iterations (the k = 0 row is x~).
+    max(||y_0 - x*||, ||x~ - x*||) <= R and restart off, the recorded values
+    satisfy Phi(x_k) - Phi* <= ((L+mu)/2) R^2 (1 - sqrt(mu/L))^k, where k
+    counts post-warm-up iterations (the k = 0 row is x~).  A restart sets
+    x_k = x_{k+1}, so the next extrapolation is zero.
     """
     L = objective.l_gamma
     if mu <= 0 or mu > L * (1 + 1e-12):
@@ -252,7 +271,6 @@ def pb_apg_sc(objective: PenalizedObjective, mu: float, x_init: np.ndarray,
 
     radius = _default_radius(x_init, config)
     budget = sc_budget(L, mu, radius, config.epsilon)
-    cap = budget if config.max_iters is None else min(budget, config.max_iters)
     beta = (math.sqrt(L) - math.sqrt(mu)) / (math.sqrt(L) + math.sqrt(mu))
 
     trace = SolverTrace()
@@ -260,40 +278,7 @@ def pb_apg_sc(objective: PenalizedObjective, mu: float, x_init: np.ndarray,
     y_tilde = x_init - objective.grad_step(x_init)
     x = objective.prox_step(y_tilde - objective.grad_step(y_tilde))
     _check_finite(x, trace)
-    x_prev = x.copy()
-    phi_mark = objective.value(x) if config.restart else 0.0
-    trace.record(objective, 0, x, 0.0, t0)
-    if config.keep_iterates:
-        trace.iterates.append(x.copy())
-
-    reason = "budget_reached"
-    if config.max_iters is not None and config.max_iters < budget:
-        reason = "max_iters"
-    for k in range(cap):
-        y = x + beta * (x - x_prev)
-        x_next = objective.prox_step(y - objective.grad_step(y))
-        step_norm = _step_norm(x_next, x, trace)
-        x_prev, x = x, x_next
-        if config.keep_iterates:
-            trace.iterates.append(x.copy())
-        if config.restart:
-            val = objective.value(x)
-            if val > phi_mark:
-                x_prev = x
-            phi_mark = val
-        done = (k + 1 == cap) or (config.step_tolerance > 0.0
-                                  and step_norm <= config.step_tolerance)
-        if (k + 1) % config.record_every == 0 or done:
-            trace.record(objective, k + 1, x, step_norm, t0)
-        if done:
-            if k + 1 < cap:
-                reason = "step_tolerance"
-            trace.total_iterations = k + 1
-            break
-    else:
-        trace.total_iterations = 0
-    trace.terminal_reason = reason
-    return x, trace
+    return _accelerate(objective, x, budget, beta, config, trace, t0)
 
 
 def gradient_mapping_norm(objective: PenalizedObjective, x: np.ndarray) -> float:

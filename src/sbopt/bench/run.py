@@ -458,6 +458,9 @@ def _report_json(report: RunReport, fixed_clock: bool) -> str:
                 "certificate": res.cert_passed,
                 "error": res.error,
                 "wall_seconds": 0.0 if fixed_clock else res.wall_seconds,
+                "terminal_reason": (res.segments[-1][2].terminal_reason
+                                    if res.segments else None),
+                "restarts": sum(t.restarts for _, _, t in res.segments),
             } for name, res in report.solvers.items()
         },
         "wall_total": 0.0 if fixed_clock else report.wall_total,

@@ -4,10 +4,11 @@ squares.
 
 G* for a least-squares lower level comes from the minimum-norm solution of
 the normal equations; composite lower levels fall back to a long accelerated
-run certified by the gradient-mapping norm.  F* is approximated by solving
-the penalized problem at an escalating penalty until the residual meets a
-stated relaxation, which makes the substitution auditable: the report records
-the relaxation and the residual actually achieved.
+run with gradient restart (O'Donoghue and Candes, 2015), certified by the
+gradient-mapping norm.  F* is approximated by solving the penalized problem
+at an escalating penalty until the residual meets a stated relaxation, which
+makes the substitution auditable: the report records the relaxation and the
+residual actually achieved.
 """
 
 from __future__ import annotations
@@ -95,8 +96,8 @@ def lower_opt_value(instance: BilevelInstance, tolerance: float = 1e-12,
 
     Unconstrained least-squares lower levels use the min-norm route and a
     normal-equation residual certificate; anything else runs the accelerated
-    engine with restart in segments of FIRST_CHECKPOINT, twice that, four
-    times that, ... iterations (each at most ``chunk``), every segment
+    engine with gradient restart in segments of FIRST_CHECKPOINT, twice that,
+    four times that, ... iterations (each at most ``chunk``), every segment
     restarting the engine from the last iterate.  The gradient-mapping norm
     is checked after each segment and the run returns as soon as it reaches
     ``tolerance``, reporting the iterations actually run.  ``max_iters`` is a
@@ -150,9 +151,10 @@ def upper_opt_value(instance: BilevelInstance, g_star: float,
                     step_tolerance: float = 1e-12) -> ReferenceReport:
     """Approximate F* = min F(x) subject to G(x) - G* <= relaxation.
 
-    Solves the penalized problem at gamma, escalating gamma tenfold until the
-    solution's residual meets the relaxation; F at that point is reported as
-    F*.  Raises RelaxationUnreachable past the escalation cap.
+    Solves the penalized problem at gamma with the gradient-restarted
+    accelerated engine, escalating gamma tenfold until the solution's
+    residual meets the relaxation; F at that point is reported as F*.
+    Raises RelaxationUnreachable past the escalation cap.
     """
     if relaxation <= 0:
         raise ValueError("relaxation must be positive")

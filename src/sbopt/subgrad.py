@@ -198,7 +198,7 @@ def subgrad_solve(objective: PenalizedObjective, x0: np.ndarray,
         else:
             eta = 2.0 / (config.schedule.mu * (k + 1.0))
         x_next = config.domain.project(x - eta * sub)
-        step_norm = _step_norm(x_next, x, trace)
+        step_norm = _step_norm(x_next - x, x_next, trace)
         x = x_next
         if config.keep_iterates:
             trace.iterates.append(x.copy())

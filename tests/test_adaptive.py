@@ -1,6 +1,7 @@
 """Adaptive penalty ladders: entry index, bookkeeping, warm start, stage
 certificates."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -65,6 +66,27 @@ class TestLadderBookkeeping:
         assert len(stages) == 1
         x_direct, _ = pb_apg(assemble_penalized(inst, 3.0), np.zeros(1), cfg)
         np.testing.assert_array_equal(x_ladder, x_direct)
+
+    def test_radius_certified_marks_stages(self):
+        ladder = LadderConfig(gamma0=1.0, nu=2.0, eta=10.0, epsilon0=1e-2,
+                              stop_epsilon=1e-4)
+        cfg = ApgConfig(epsilon=1.0, max_iters=500)
+        sharp = toy_sharp_instance()
+        flat = dataclasses.replace(
+            sharp, f1=dataclasses.replace(sharp.f1, strong_convexity=0.0))
+        assert assemble_penalized(sharp, 1.0).strong_convexity > 0.0
+        assert assemble_penalized(flat, 1.0).strong_convexity == 0.0
+        # stage 0 starts from the ||x0|| + 1 fallback; a strongly convex
+        # stage carries a certified radius to the next one
+        _, stages = apb_apg(sharp, np.zeros(1), ladder, cfg)
+        assert [st.radius_certified for st in stages] == [False, True, True]
+        # a stage with mu == 0 has no radius to carry
+        _, stages = apb_apg(flat, np.zeros(1), ladder, cfg)
+        assert [st.radius_certified for st in stages] == [False, False, False]
+        # a radius fixed by the caller holds for every stage
+        _, stages = apb_apg(flat, np.zeros(1), ladder,
+                            dataclasses.replace(cfg, radius_bound=2.0))
+        assert [st.radius_certified for st in stages] == [True, True, True]
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(InvalidLadder):

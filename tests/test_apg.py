@@ -225,9 +225,30 @@ class TestPbApg:
         cfg_plain = ApgConfig(epsilon=1e-30, max_iters=3000)
         cfg_restart = ApgConfig(epsilon=1e-30, max_iters=3000, restart=True)
         x_p, _ = pb_apg(obj, np.zeros(10), cfg_plain)
-        x_r, _ = pb_apg(obj, np.zeros(10), cfg_restart)
+        x_r, tr_r = pb_apg(obj, np.zeros(10), cfg_restart)
         assert value(x_r) <= value(x_p) + 1e-12
         assert value(x_r) < 1e-16
+        assert tr_r.restarts > 0
+
+    @pytest.mark.parametrize("engine", ["pb_apg", "pb_apg_sc"])
+    def test_restart_evaluates_values_only_on_recorded_rows(self, engine):
+        d = np.logspace(-3, 0, 10)
+        calls = []
+
+        def value(x):
+            calls.append(1)
+            return 0.5 * float(x @ (d * x))
+
+        obj = _plain_objective(value, lambda x: d * x, 1.0, 1e-3)
+        cfg = ApgConfig(epsilon=1e-30, max_iters=1000, restart=True,
+                        record_every=100)
+        if engine == "pb_apg":
+            _, trace = pb_apg(obj, np.ones(10), cfg)
+        else:
+            _, trace = pb_apg_sc(obj, 1e-3, np.ones(10), cfg)
+        assert trace.restarts > 0
+        assert trace.total_iterations == 1000
+        assert len(calls) == len(trace.ks) == 11
 
 
 class TestPbApgSc:

@@ -99,6 +99,11 @@ class TestRunExperiment:
         # certified accelerated route and reports the iterations it ran
         assert refs["g_star_method"] == report.g_star_method == "accelerated_restart"
         assert refs["g_star_iterations"] == report.g_star_iterations > 0
+        # why the solver stopped and how often its momentum restarted
+        solver = payload["solvers"]["pb_apg"]
+        (_, _, trace), = report.solvers["pb_apg"].segments
+        assert solver["terminal_reason"] == trace.terminal_reason == "step_tolerance"
+        assert solver["restarts"] == trace.restarts > 0
 
     def test_summary_gaps_match_recompute(self, tmp_path):
         cfg = build_config({**FAST, "solvers": "pb_apg,apb_apg",

@@ -98,7 +98,7 @@ class TestReductionsMatchTheirNumpyForms:
                 np.mean(np.maximum(-t, 0.0) + np.log1p(z)))
             l1 = NonsmoothTerm.l1_norm(0.3)
             assert l1.value(x) == 0.3 * float(np.sum(np.abs(x)))
-            assert (_step_norm(x, x_prev, None)
+            assert (_step_norm(x - x_prev, x, None)
                     == float(np.linalg.norm(x - x_prev)))
 
 

@@ -117,8 +117,10 @@ class TestLowerOptValue:
         from sbopt.errors import Nonconvergence
         from sbopt.model import SmoothTerm
         rng = np.random.default_rng(8)
-        Q = rng.normal(size=(6, 4))
-        Q = Q.T @ Q / 6 + 0.01 * np.eye(4)
+        # eigenvalues 1 down to 1e-3 (cond 1e3): the certificate is still
+        # about 1e-4 after 150 iterations, far above the tolerance
+        V, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        Q = (V * np.logspace(0, -3, 4)) @ V.T
         c = rng.normal(size=4)
         g1 = SmoothTerm(lambda x: 0.5 * float((x - c) @ (Q @ (x - c))),
                         lambda x: Q @ (x - c),
