@@ -24,8 +24,6 @@ from .errors import InvalidErrorBound, InvalidLadder
 from .model import BilevelInstance, assemble_penalized
 from .penalty import gamma_star
 
-_ENGINES = ("apg", "apg_sc")
-
 
 @dataclass(frozen=True)
 class LadderConfig:
@@ -38,7 +36,6 @@ class LadderConfig:
     eta: float
     epsilon0: float
     stop_epsilon: float = 1e-10
-    engine: str = "apg"
     max_stages: int = 200
 
     def __post_init__(self):
@@ -46,8 +43,6 @@ class LadderConfig:
             raise InvalidLadder("gamma0, epsilon0 and stop_epsilon must be positive")
         if self.nu <= 1.0 or self.eta <= 1.0:
             raise InvalidLadder(f"need nu > 1 and eta > 1, got nu={self.nu}, eta={self.eta}")
-        if self.engine not in _ENGINES:
-            raise InvalidLadder(f"engine must be one of {_ENGINES}")
 
 
 @dataclass

@@ -50,11 +50,8 @@ def main(argv=None) -> int:
         values = {}
         if args.config:
             values.update(parse_config_file(args.config))
-        for key in ("preset", "problem", "data", "gamma", "epsilon", "beta",
-                    "alpha", "rho", "lf", "seed", "m", "n", "out_dir",
-                    "max_iters", "step_tol", "fixed_clock"):
-            v = getattr(args, key)
-            if v is not None:
+        for key, v in vars(args).items():
+            if key not in ("config", "solver") and v is not None:
                 values[key] = v
         if args.solver:
             values["solvers"] = ",".join(args.solver)

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import time
+import typing
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -147,13 +148,11 @@ class RunReport:
 # config handling
 
 
-_BOOL_KEYS = {"restart", "fixed_clock"}
-_INT_KEYS = {"m", "n", "seed", "max_iters", "record_every", "subgrad_max_iters"}
-_FLOAT_KEYS = {"gamma", "epsilon", "beta", "alpha", "rho", "lf", "gamma0", "nu",
-               "eta", "epsilon0", "stop_epsilon", "step_tol", "theta", "tau",
-               "relaxation", "cert_g_target", "cert_f_target",
-               "cert_g_target_subgrad"}
-_STR_KEYS = {"problem", "solvers", "data", "out_dir", "preset"}
+# Each key parses to the type of its ExperimentConfig field (the element
+# type of an Optional or List); ``solvers`` stays a comma-separated string.
+_KEY_TYPES = {name: (typing.get_args(hint) or (hint,))[0] for name, hint
+              in typing.get_type_hints(ExperimentConfig).items()}
+_KEY_TYPES["preset"] = str
 
 
 def parse_config_file(path: str) -> Dict[str, str]:
@@ -175,17 +174,16 @@ def parse_config_file(path: str) -> Dict[str, str]:
 def _convert(key: str, value):
     if not isinstance(value, str):
         return value
+    key_type = _KEY_TYPES[key]
     try:
-        if key in _BOOL_KEYS:
+        if key_type is bool:
             if value.lower() in ("1", "true", "yes", "on"):
                 return True
             if value.lower() in ("0", "false", "no", "off"):
                 return False
             raise ValueError(value)
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
+        if key_type in (int, float):
+            return key_type(value)
     except ValueError:
         raise ConfigError(f"cannot parse value {value!r}", field=key)
     return value
@@ -205,9 +203,8 @@ def build_config(values: Dict[str, object]) -> ExperimentConfig:
             continue
         merged[key] = value
 
-    known = _BOOL_KEYS | _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
     for key in merged:
-        if key not in known:
+        if key not in _KEY_TYPES:
             raise ConfigError("unknown configuration key", field=key)
     merged = {k: _convert(k, v) for k, v in merged.items()}
 
@@ -226,8 +223,7 @@ def build_config(values: Dict[str, object]) -> ExperimentConfig:
             raise ConfigError(f"unknown solver {s!r} "
                               f"(known: {', '.join(KNOWN_SOLVERS)})", field="solvers")
 
-    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    kwargs = {k: v for k, v in merged.items() if k in fields and k != "solvers"}
+    kwargs = {k: v for k, v in merged.items() if k != "solvers"}
     cfg = ExperimentConfig(solvers=solvers, **kwargs)
 
     if cfg.problem.endswith("libsvm") and not cfg.data:
@@ -300,29 +296,14 @@ def _apg_config(cfg: ExperimentConfig, epsilon: float) -> ApgConfig:
                      record_every=cfg.record_every)
 
 
-def _domain_bound(domain: Domain, dim: int) -> float:
-    """Euclidean norm bound over the domain."""
-    if domain.kind == "l1_ball":
-        return domain.radius
-    if domain.kind == "box":
-        return float(np.linalg.norm(np.maximum(np.abs(domain.lo),
-                                               np.abs(domain.hi))))
-    return math.inf
-
-
 def _subgrad_baseline(instance: BilevelInstance, gamma: float, x_ref):
     """Projected-subgradient treatment of the whole penalized objective:
     indicator constraints become the projection domain, everything else is
     handled through subgradients with Lipschitz bounds over that domain."""
     g2 = instance.g2
-    if g2.kind == "l1_ball":
-        domain = Domain.l1_ball(g2.radius)
-    elif g2.kind == "box":
-        domain = Domain.box(g2.lo, g2.hi)
-    else:
-        radius = 2.0 * max(1.0, float(np.sum(np.abs(x_ref))))
-        domain = Domain.l1_ball(radius)
-    xbound = _domain_bound(domain, instance.dim)
+    domain = Domain(g2 if g2.is_indicator else NonsmoothTerm.indicator_l1_ball(
+        2.0 * max(1.0, float(np.sum(np.abs(x_ref))))))
+    xbound = domain.term.norm_bound
 
     f1, f2, g1 = instance.f1, instance.f2, instance.g1
     origin = np.zeros(instance.dim)

@@ -20,7 +20,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import prox as _prox
-from .errors import DimensionMismatch, InvalidErrorBound, MissingLowerOpt
+from .errors import (DimensionMismatch, InvalidErrorBound, MissingLowerOpt,
+                     UnsupportedTerm)
 
 
 # ---------------------------------------------------------------------------
@@ -64,17 +65,21 @@ class SmoothTerm:
         return SmoothTerm(lambda x: 0.0, np.zeros_like, 0.0, 0.0)
 
 
+_KINDS = ("zero", "l1", "l1_ball", "box", "custom")
+
+
 @dataclass(frozen=True)
 class NonsmoothTerm:
     """A prox-friendly or Lipschitz nonsmooth convex term, tagged by kind.
 
     Supported kinds: ``zero``, ``l1`` (weighted L1 norm), ``l1_ball``
     (indicator of an L1 ball), ``box`` (indicator of a box), and ``custom``
-    (user oracles).  Indicator kinds evaluate to 0 inside the set and +inf
-    outside.  ``lipschitz`` is only meaningful for terms used in subgradient
-    mode and must be a bound over the working domain.  A custom term may add
-    ``value_subgrad_oracle``, returning value and subgradient from one call,
-    for solvers that need both at the same point.
+    (user oracles); another kind raises UnsupportedTerm.  The methods below
+    are the one place that says what each kind means.  ``lipschitz`` is only
+    meaningful for terms used in subgradient mode and must be a bound over
+    the working domain.  A custom term may add ``value_subgrad_oracle``,
+    returning value and subgradient from one call, for solvers that need
+    both at the same point.
     """
 
     kind: str
@@ -87,6 +92,11 @@ class NonsmoothTerm:
     subgrad_oracle: Optional[Callable[[np.ndarray], np.ndarray]] = None
     lipschitz: Optional[float] = None
     value_subgrad_oracle: Optional[Callable[[np.ndarray], tuple]] = None
+
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise UnsupportedTerm(f"unknown term kind {self.kind!r} "
+                                  f"(known: {', '.join(_KINDS)})")
 
     @staticmethod
     def zero() -> "NonsmoothTerm":
@@ -122,17 +132,52 @@ class NonsmoothTerm:
                              value_subgrad_oracle=value_subgrad_oracle)
 
     def value(self, x: np.ndarray) -> float:
-        """Extended-real evaluation; indicators return +inf outside their set."""
-        if self.kind == "zero":
-            return 0.0
+        """Extended-real evaluation; indicators return +inf outside their set
+        (an L1 ball with a relative 1e-12 slack, a box exactly)."""
         if self.kind == "l1":
             return self.weight * float(np.abs(x).sum())
         if self.kind == "l1_ball":
-            return 0.0 if float(np.abs(x).sum()) <= self.radius * (1 + 1e-12) else math.inf
-        if self.kind == "box":
-            inside = np.all(x >= self.lo - 1e-12) and np.all(x <= self.hi + 1e-12)
+            inside = float(np.abs(x).sum()) <= self.radius * (1 + 1e-12)
             return 0.0 if inside else math.inf
-        return float(self.value_oracle(x))
+        if self.kind == "box":
+            return 0.0 if np.all(x >= self.lo) and np.all(x <= self.hi) else math.inf
+        return float(self.value_oracle(x)) if self.kind == "custom" else 0.0
+
+    def prox(self, c: float):
+        """Exact prox of c*term as a function of (y, t), or None if it has none."""
+        if self.kind == "zero":
+            return lambda y, t: np.asarray(y, dtype=float).copy()
+        if self.kind == "l1":
+            w = c * self.weight
+            return lambda y, t: _prox.prox_l1(y, t * w)
+        if self.kind == "l1_ball":
+            r = self.radius
+            return lambda y, t: _prox.project_l1_ball(y, r)
+        if self.kind == "box":
+            lo, hi = self.lo, self.hi
+            return lambda y, t: _prox.project_box(y, lo, hi)
+        oracle = self.prox_oracle
+        return None if oracle is None else lambda y, t: oracle(y, t * c)
+
+    def subgradient(self, x: np.ndarray) -> np.ndarray:
+        """weight*sign(x) for the L1 norm, or the custom oracle's; indicators
+        raise UnsupportedTerm, as constraint sets belong in a domain."""
+        if self.kind == "zero":
+            return np.zeros_like(x)
+        if self.kind == "l1":
+            return self.weight * np.sign(x)
+        if self.kind == "custom" and self.subgrad_oracle is not None:
+            return self.subgrad_oracle(x)
+        raise UnsupportedTerm(f"no subgradient oracle for term kind '{self.kind}'")
+
+    @property
+    def norm_bound(self) -> Optional[float]:
+        """Euclidean norm bound of an indicator's set (inf for zero), else None."""
+        if self.kind == "l1_ball":
+            return self.radius
+        if self.kind == "box":
+            return float(np.linalg.norm(np.maximum(np.abs(self.lo), np.abs(self.hi))))
+        return math.inf if self.kind == "zero" else None
 
     @property
     def is_indicator(self) -> bool:
@@ -192,10 +237,6 @@ class BilevelInstance:
         if self.subgrad_diameter <= 0.0:
             raise ValueError("subgrad_diameter must be positive")
 
-    @property
-    def error_bound(self):
-        return (self.alpha, self.rho)
-
     def upper_value(self, x: np.ndarray) -> float:
         return self.f1.value(x) + self.f2.value(x)
 
@@ -248,9 +289,6 @@ class PenalizedObjective:
 
     def value(self, x: np.ndarray) -> float:
         return self.scale * (self.phi.value(x) + self.psi.evaluate(x))
-
-    def smooth_value(self, x: np.ndarray) -> float:
-        return self.scale * self.phi.value(x)
 
     def smooth_grad(self, x: np.ndarray) -> np.ndarray:
         return self.scale * self.phi.grad(x)

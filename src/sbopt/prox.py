@@ -1,8 +1,10 @@
 """Exact scaled proximal mappings and their gamma-weighted combinations.
 
 Every mapping here is closed form.  ``compose_prox`` produces the prox of
-f2 + gamma*g2 for the supported pairs; anything outside that closure raises
-NonComposableProx rather than falling back to an inexact scheme.
+f2 + gamma*g2: when one side is zero it is the other term's own
+``NonsmoothTerm.prox``; its rules for pairs of kinds are the only per-kind
+logic here.  Anything outside that closure raises NonComposableProx
+rather than falling back to an inexact scheme.
 """
 
 from __future__ import annotations
@@ -66,7 +68,6 @@ class ProxSpec:
     f2: object
     g2: object
     gamma: float
-    kinds: tuple
     prox: Optional[Callable[[np.ndarray, float], np.ndarray]]
 
     def evaluate(self, x: np.ndarray) -> float:
@@ -77,25 +78,6 @@ class ProxSpec:
         if math.isinf(v_g):
             return math.inf
         return v_f + self.gamma * v_g
-
-
-def _single_prox(term, weight: float):
-    """Prox of weight * term for one supported kind, or None."""
-    if term.kind == "zero":
-        return lambda y, t: np.asarray(y, dtype=float).copy()
-    if term.kind == "l1":
-        w = weight * term.weight
-        return lambda y, t: prox_l1(y, t * w)
-    if term.kind == "l1_ball":
-        r = term.radius
-        return lambda y, t: project_l1_ball(y, r)
-    if term.kind == "box":
-        lo, hi = term.lo, term.hi
-        return lambda y, t: project_box(y, lo, hi)
-    if term.kind == "custom" and term.prox_oracle is not None:
-        oracle = term.prox_oracle
-        return lambda y, t: oracle(y, t * weight)
-    return None
 
 
 def compose_prox(f2, g2, gamma: float, require_prox: bool = True) -> ProxSpec:
@@ -113,9 +95,9 @@ def compose_prox(f2, g2, gamma: float, require_prox: bool = True) -> ProxSpec:
 
     prox = None
     if f2.kind == "zero":
-        prox = _single_prox(g2, gamma)
+        prox = g2.prox(gamma)
     elif g2.kind == "zero":
-        prox = _single_prox(f2, 1.0)
+        prox = f2.prox(1.0)
     elif kinds == ("l1", "l1"):
         w = f2.weight + gamma * g2.weight
         prox = lambda y, t: prox_l1(y, t * w)
@@ -137,4 +119,4 @@ def compose_prox(f2, g2, gamma: float, require_prox: bool = True) -> ProxSpec:
 
     if prox is None and require_prox:
         raise NonComposableProx(f"no exact combined prox for pair {kinds}")
-    return ProxSpec(f2=f2, g2=g2, gamma=gamma, kinds=kinds, prox=prox)
+    return ProxSpec(f2=f2, g2=g2, gamma=gamma, prox=prox)

@@ -3,7 +3,8 @@ parts; the objective is f2 + gamma*g2 with both terms Lipschitz on the
 working domain C).
 
 The update is  x_{k+1} = Proj_C(x_k - eta_k xi_k)  with xi_k a subgradient of
-the penalized objective.  Two step schedules are supported: the diminishing
+the penalized objective, taken from the terms themselves; C is an indicator
+term.  Two step schedules are supported: the diminishing
 R/(l_gamma sqrt(k+1)) schedule and, for a strongly convex f2 on a bounded C,
 2/(mu (k+1)).  The returned point is the best iterate by objective value.
 """
@@ -12,62 +13,52 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
 from .apg import SolverTrace, _step_norm
 from .errors import (InfeasibleStart, InvalidStrongConvexity,
                      UnsupportedTerm)
-from .model import NonsmoothTerm, PenalizedObjective, SmoothTerm, _frozen_copy
-from .prox import ProxSpec, project_box, project_l1_ball
+from .model import NonsmoothTerm, PenalizedObjective, SmoothTerm
+from .prox import ProxSpec
 
 
 @dataclass(frozen=True)
 class Domain:
-    """Constraint set with exact projection: all of R^n, an L1 ball, or a box."""
+    """Constraint set as its indicator term (``NonsmoothTerm.zero()`` for all
+    of R^n); the projection is the term's prox, built once here."""
 
-    kind: str
-    radius: float = 0.0
-    lo: Optional[np.ndarray] = None
-    hi: Optional[np.ndarray] = None
+    term: NonsmoothTerm
+    _project: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.term.norm_bound is None:
+            raise UnsupportedTerm("a domain needs an indicator term or the zero term")
+        object.__setattr__(self, "_project", self.term.prox(1.0))
 
     @staticmethod
     def all_space() -> "Domain":
-        return Domain(kind="all")
+        return Domain(NonsmoothTerm.zero())
 
     @staticmethod
     def l1_ball(radius: float) -> "Domain":
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        return Domain(kind="l1_ball", radius=radius)
+        return Domain(NonsmoothTerm.indicator_l1_ball(radius))
 
     @staticmethod
     def box(lo, hi) -> "Domain":
-        lo = _frozen_copy(lo)
-        hi = _frozen_copy(hi)
-        if np.any(lo > hi):
-            raise ValueError("box bounds must satisfy lo <= hi")
-        return Domain(kind="box", lo=lo, hi=hi)
+        return Domain(NonsmoothTerm.indicator_box(lo, hi))
 
     @property
     def bounded(self) -> bool:
-        return self.kind != "all"
+        return math.isfinite(self.term.norm_bound)
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        if self.kind == "all":
-            return x
-        if self.kind == "l1_ball":
-            return project_l1_ball(x, self.radius)
-        return project_box(x, self.lo, self.hi)
+        return self._project(x, 1.0)
 
     def contains(self, x: np.ndarray) -> bool:
-        if self.kind == "all":
-            return True
-        if self.kind == "l1_ball":
-            return float(np.sum(np.abs(x))) <= self.radius * (1 + 1e-12)
-        return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
+        return self.term.value(x) == 0.0
 
 
 @dataclass(frozen=True)
@@ -110,21 +101,9 @@ class SubgradConfig:
 
 
 def subgradient_oracle(term, x: np.ndarray) -> np.ndarray:
-    """A deterministic member of the subdifferential at x.
-
-    For the L1 norm this is weight*sign(x) (0 at zeros); smooth terms return
-    their gradient; custom terms use their own oracle.  Indicator kinds are
-    rejected: constraint sets belong in the projection domain.
-    """
-    if isinstance(term, SmoothTerm):
-        return term.grad(x)
-    if term.kind == "zero":
-        return np.zeros_like(x)
-    if term.kind == "l1":
-        return term.weight * np.sign(x)
-    if term.kind == "custom" and term.subgrad_oracle is not None:
-        return term.subgrad_oracle(x)
-    raise UnsupportedTerm(f"no subgradient oracle for term kind '{term.kind}'")
+    """A deterministic member of the subdifferential at x: the gradient of a
+    smooth term, else ``term.subgradient(x)``, which rejects indicators."""
+    return term.grad(x) if isinstance(term, SmoothTerm) else term.subgradient(x)
 
 
 def _value_and_subgradient(term: NonsmoothTerm, x: np.ndarray):
@@ -145,7 +124,7 @@ def assemble_nonsmooth(f2: NonsmoothTerm, g2: NonsmoothTerm, gamma: float,
         raise ValueError("gamma must be positive")
     if f2.lipschitz is None or g2.lipschitz is None:
         raise UnsupportedTerm("subgradient mode needs Lipschitz constants on both terms")
-    psi = ProxSpec(f2=f2, g2=g2, gamma=gamma, kinds=(f2.kind, g2.kind), prox=None)
+    psi = ProxSpec(f2=f2, g2=g2, gamma=gamma, prox=None)
     return PenalizedObjective(gamma=gamma, phi=SmoothTerm.zero(), psi=psi,
                               subgrad_lipschitz=f2.lipschitz + gamma * g2.lipschitz,
                               f_value=f_value, g_gap=g_gap)

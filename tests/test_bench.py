@@ -1,13 +1,15 @@
 """Experiment harness: config validation, CSV schema, determinism, exit codes."""
 
 import json
+import typing
 
 import numpy as np
 import pytest
 
+from sbopt.bench import cli as cli_module
 from sbopt.bench.cli import main as cli_main
-from sbopt.bench.run import (CSV_HEADER, SUMMARY_HEADER, build_config,
-                             parse_config_file, run_experiment)
+from sbopt.bench.run import (CSV_HEADER, SUMMARY_HEADER, ExperimentConfig,
+                             build_config, parse_config_file, run_experiment)
 from sbopt.errors import ConfigError
 
 FAST = {
@@ -79,6 +81,30 @@ class TestConfigValidation:
         path.write_text("problem lrp-synth\n")
         with pytest.raises(ConfigError):
             parse_config_file(str(path))
+
+    def test_every_typed_field_parses_from_its_string(self):
+        samples = {bool: True, int: 7, float: 0.125, str: "text"}
+        hints = typing.get_type_hints(ExperimentConfig)
+        by_type = {}
+        for name, hint in hints.items():
+            if name in ("problem", "solvers"):
+                continue
+            kind = (typing.get_args(hint) or (hint,))[0]
+            by_type.setdefault(kind, set()).add(name)
+            value = samples[kind]
+            cfg = build_config({**FAST, name: str(value)})
+            parsed = getattr(cfg, name)
+            assert type(parsed) is kind and parsed == value, name
+            if kind is bool:
+                assert getattr(build_config({**FAST, name: "off"}), name) is False
+        assert by_type[bool] == {"restart", "fixed_clock"}
+        assert by_type[int] == {"m", "n", "seed", "max_iters", "record_every",
+                                "subgrad_max_iters"}
+        assert by_type[str] == {"data", "out_dir"}
+        assert len(by_type[float]) == 18
+        with pytest.raises(ConfigError) as err:
+            build_config({**FAST, "seed": "1.5"})
+        assert "seed" in str(err.value)
 
 
 class TestRunExperiment:
@@ -239,6 +265,29 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "pb_apg" in out and "pb_apg_sc" in out
+
+    def test_every_flag_reaches_the_config(self, monkeypatch):
+        seen = {}
+
+        def capture(values):
+            seen.update(values)
+            raise ConfigError("captured", field="none")
+
+        monkeypatch.setattr(cli_module, "build_config", capture)
+        rc = cli_main(["--preset", "lrp-desk", "--problem", "lrp-synth",
+                       "--data", "d.txt", "--solver", "pb_apg",
+                       "--gamma", "2", "--epsilon", "3", "--beta", "4",
+                       "--alpha", "5", "--rho", "6", "--lf", "7",
+                       "--seed", "8", "--m", "9", "--n", "10",
+                       "--out-dir", "o", "--max-iters", "11",
+                       "--step-tol", "12", "--fixed-clock"])
+        assert rc == 2
+        assert seen == {"preset": "lrp-desk", "problem": "lrp-synth",
+                        "data": "d.txt", "solvers": "pb_apg", "gamma": 2.0,
+                        "epsilon": 3.0, "beta": 4.0, "alpha": 5.0,
+                        "rho": 6.0, "lf": 7.0, "seed": 8, "m": 9, "n": 10,
+                        "out_dir": "o", "max_iters": 11, "step_tol": 12.0,
+                        "fixed_clock": True}
 
     def test_help_lists_presets(self, capsys):
         with pytest.raises(SystemExit):
