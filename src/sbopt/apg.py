@@ -66,10 +66,10 @@ class SolverTrace:
     """Per-iteration metrics of one solver run.
 
     ``ks`` is strictly increasing and ``elapsed`` nondecreasing; the terminal
-    iterate is always recorded.  ``f_values`` and ``g_gaps`` hold NaN when the
-    objective carries no instance link.  ``phi_best`` is populated by the
-    subgradient solver only.  ``restarts`` counts the momentum resets of a
-    restarted accelerated run.
+    iterate is always recorded.  Each row is one ``PenalizedObjective.row``
+    call, with NaN F and G gaps when the objective has no instance link.
+    ``phi_best`` is populated by the subgradient solver only.  ``restarts``
+    counts the momentum resets of a restarted accelerated run.
     """
 
     ks: list = field(default_factory=list)
@@ -84,14 +84,15 @@ class SolverTrace:
     total_iterations: int = 0
     restarts: int = 0
 
-    def record(self, objective, k, x, step_norm, t0, best=None):
+    def record(self, objective, k, x, step_norm, t0, best=None, value=None):
         # Stamped before the evaluations below, so a row's timestamp does
         # not include the cost of recording that row.
         self.elapsed.append(time.perf_counter() - t0)
         self.ks.append(k)
-        self.phi_values.append(objective.value(x))
-        self.f_values.append(objective.f_value(x) if objective.f_value else math.nan)
-        self.g_gaps.append(objective.g_gap(x) if objective.g_gap else math.nan)
+        phi, f, g_gap = objective.row(x, value)
+        self.phi_values.append(phi)
+        self.f_values.append(f)
+        self.g_gaps.append(g_gap)
         self.step_norms.append(step_norm)
         if best is not None:
             self.phi_best.append(best)

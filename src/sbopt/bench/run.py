@@ -23,7 +23,7 @@ import numpy as np
 from .. import penalty
 from ..adaptive import LadderConfig, apb_apg, apb_apg_sc
 from ..apg import ApgConfig, pb_apg, pb_apg_sc
-from ..errors import ConfigError, SboptError
+from ..errors import ConfigError, SboptError, UnsupportedTerm
 from ..model import (BilevelInstance, NonsmoothTerm, assemble_penalized,
                      elastic_net_problem, logistic_min_norm_problem)
 from ..reference import lower_opt_value, upper_opt_value
@@ -304,44 +304,24 @@ def _subgrad_baseline(instance: BilevelInstance, gamma: float, x_ref):
     domain = Domain(g2 if g2.is_indicator else NonsmoothTerm.indicator_l1_ball(
         2.0 * max(1.0, float(np.sum(np.abs(x_ref))))))
     xbound = domain.term.norm_bound
+    if not math.isfinite(xbound):
+        raise UnsupportedTerm("the subgradient baseline needs a bounded domain")
 
-    f1, f2, g1 = instance.f1, instance.f2, instance.g1
-    origin = np.zeros(instance.dim)
-    l_upper = f1.lipschitz_grad * xbound + float(np.linalg.norm(f1.grad(origin)))
-    if f2.kind == "l1":
-        l_upper += f2.weight * math.sqrt(instance.dim)
-    elif f2.lipschitz:
-        l_upper += f2.lipschitz
-
-    if g1.tag == "logistic":
-        A, _ = g1.payload
-        l_lower = float(np.mean(np.linalg.norm(A, axis=1)))
-    elif g1.tag == "least_squares":
-        A, b = g1.payload
-        m = A.shape[0]
-        lam = g1.lipschitz_grad * m  # lambda_max(A'A)
-        l_lower = (lam * xbound + float(np.linalg.norm(A.T @ b))) / m
-    else:
-        l_lower = (g1.lipschitz_grad * xbound
-                   + float(np.linalg.norm(g1.grad(origin))))
-
-    def upper_subgrad(x):
-        s = f1.grad(x)
-        if f2.kind != "zero" and not f2.is_indicator:
-            s = s + subgradient_oracle(f2, x)
-        return s
+    f1, f2, g1, n = instance.f1, instance.f2, instance.g1, instance.dim
+    l_upper = f1.grad_bound(xbound, n)
+    upper_subgrad = f1.grad
+    f2_bound = f2.subgradient_bound(n)
+    if f2_bound is not None:
+        l_upper += f2_bound
+        upper_subgrad = lambda x: f1.grad(x) + subgradient_oracle(f2, x)
 
     f_all = NonsmoothTerm.custom(instance.upper_value,
                                  subgrad_oracle=upper_subgrad,
                                  lipschitz=l_upper)
     g_all = NonsmoothTerm.custom(g1.value, subgrad_oracle=g1.grad,
-                                 lipschitz=l_lower,
+                                 lipschitz=g1.grad_bound(xbound, n),
                                  value_subgrad_oracle=g1.value_grad)
-    g_star = instance.lower_opt_value
-    objective = assemble_nonsmooth(
-        f_all, g_all, gamma, f_value=instance.upper_value,
-        g_gap=(lambda x: instance.lower_value(x) - g_star)
-        if g_star is not None else None)
+    objective = assemble_nonsmooth(f_all, g_all, gamma, instance=instance)
     radius = float(np.linalg.norm(x_ref)) + 1.0
     return objective, domain, radius
 

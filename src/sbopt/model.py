@@ -45,6 +45,7 @@ class SmoothTerm:
     tag: Optional[str] = None
     payload: Optional[tuple] = None
     value_grad_oracle: Optional[Callable[[np.ndarray], tuple]] = None
+    grad_bound_oracle: Optional[Callable[[float, int], float]] = None
 
     def value(self, x: np.ndarray) -> float:
         return float(self.value_oracle(x))
@@ -59,6 +60,14 @@ class SmoothTerm:
             return self.value(x), self.grad(x)
         value, grad = self.value_grad_oracle(x)
         return float(value), grad
+
+    def grad_bound(self, radius: float, dim: int) -> float:
+        """A bound on ||grad(x)|| over the ball ||x|| <= radius of R^dim: the
+        term's ``grad_bound_oracle`` if it has one, else L*radius + ||grad(0)||."""
+        if self.grad_bound_oracle is not None:
+            return self.grad_bound_oracle(radius, dim)
+        return (self.lipschitz_grad * radius
+                + float(np.linalg.norm(self.grad(np.zeros(dim)))))
 
     @staticmethod
     def zero() -> "SmoothTerm":
@@ -170,6 +179,15 @@ class NonsmoothTerm:
             return self.subgrad_oracle(x)
         raise UnsupportedTerm(f"no subgradient oracle for term kind '{self.kind}'")
 
+    def subgradient_bound(self, dim: int) -> Optional[float]:
+        """Norm bound of ``subgradient`` in R^dim, or None for the kinds that
+        add no subgradient (zero, and indicators, which belong in a domain)."""
+        if self.kind == "l1":
+            return self.weight * math.sqrt(dim)
+        if self.kind == "custom" and self.lipschitz is None:
+            raise UnsupportedTerm("a custom term needs lipschitz for a subgradient bound")
+        return self.lipschitz if self.kind == "custom" else None
+
     @property
     def norm_bound(self) -> Optional[float]:
         """Euclidean norm bound of an indicator's set (inf for zero), else None."""
@@ -268,7 +286,7 @@ class PenalizedObjective:
 
     ``l_gamma`` is the reported smoothness constant scale*(L_f1 + gamma*L_g1).
     ``subgrad_lipschitz``, when available, is l_f2 + gamma*l_g2 for the fully
-    nonsmooth mode.
+    nonsmooth mode.  ``instance``, when set, is the instance it penalizes.
     """
 
     gamma: float
@@ -276,8 +294,7 @@ class PenalizedObjective:
     psi: _prox.ProxSpec
     scale: float = 1.0
     subgrad_lipschitz: Optional[float] = None
-    f_value: Optional[Callable[[np.ndarray], float]] = None
-    g_gap: Optional[Callable[[np.ndarray], float]] = None
+    instance: Optional[BilevelInstance] = None
 
     @property
     def l_gamma(self) -> float:
@@ -290,8 +307,20 @@ class PenalizedObjective:
     def value(self, x: np.ndarray) -> float:
         return self.scale * (self.phi.value(x) + self.psi.evaluate(x))
 
-    def smooth_grad(self, x: np.ndarray) -> np.ndarray:
-        return self.scale * self.phi.grad(x)
+    def row(self, x: np.ndarray, value: Optional[float] = None) -> tuple:
+        """(Phi, F, G - G*) at x from one evaluation of each instance term,
+        summed as ``value`` sums them; a caller holding Phi passes it in.
+        F and G - G* are NaN without a link, G - G* also before G* is set."""
+        inst = self.instance
+        if inst is None:
+            return (self.value(x) if value is None else value), math.nan, math.nan
+        f1, f2 = inst.f1.value(x), inst.f2.value(x)
+        g1, g2 = inst.g1.value(x), inst.g2.value(x)
+        if value is None:
+            psi = _prox.penalized_sum(f2, g2, self.gamma)
+            value = self.scale * ((f1 + self.gamma * g1) + psi)
+        g_star = inst.lower_opt_value
+        return value, f1 + f2, math.nan if g_star is None else (g1 + g2) - g_star
 
     # Solver-facing steps.  Both are computed from the unscaled parts so that
     # the scale factor cancels exactly: grad(c*phi)/(c*L) == grad(phi)/L and
@@ -328,25 +357,14 @@ def assemble_penalized(instance: BilevelInstance, gamma: float) -> PenalizedObje
     """Build phi_gamma = f1 + gamma*g1 and psi_gamma = f2 + gamma*g2.
 
     Raises NonComposableProx when the (f2, g2) pair has no supported exact
-    combined prox.  The resulting objective reports F values and lower-level
-    residuals in solver traces when the instance's G* is available.
+    combined prox.  The objective is linked to ``instance``, so traces report
+    F, and lower-level residuals once the instance's G* is available.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     phi = _combine_smooth(instance.f1, instance.g1, gamma)
     psi = _prox.compose_prox(instance.f2, instance.g2, gamma)
-
-    sub = None
-    if instance.f2.lipschitz is not None and instance.g2.lipschitz is not None:
-        sub = instance.f2.lipschitz + gamma * instance.g2.lipschitz
-
-    g_gap = None
-    if instance.lower_opt_value is not None:
-        g_star = instance.lower_opt_value
-        g_gap = lambda x: instance.lower_value(x) - g_star
-    return PenalizedObjective(gamma=gamma, phi=phi, psi=psi,
-                              subgrad_lipschitz=sub,
-                              f_value=instance.upper_value, g_gap=g_gap)
+    return PenalizedObjective(gamma=gamma, phi=phi, psi=psi, instance=instance)
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +514,10 @@ def _loss_term(loss, A, b, lipschitz, tag) -> SmoothTerm:
 
 
 def logistic_smooth_term(A, b) -> SmoothTerm:
-    return _loss_term(_LOGISTIC, A, b, lipschitz_logistic, "logistic")
+    term = _loss_term(_LOGISTIC, A, b, lipschitz_logistic, "logistic")
+    # ||grad|| <= mean_i ||a_i|| on all of R^n: labels are +-1 and 0 < sigma < 1
+    return dataclasses.replace(term, grad_bound_oracle=lambda radius, dim: float(
+        np.mean(np.linalg.norm(term.payload[0], axis=1))))
 
 
 def least_squares_smooth_term(A, b) -> SmoothTerm:

@@ -71,23 +71,20 @@ class ProxSpec:
     prox: Optional[Callable[[np.ndarray, float], np.ndarray]]
 
     def evaluate(self, x: np.ndarray) -> float:
-        v_f = self.f2.value(x)
-        if math.isinf(v_f):
-            return math.inf
-        v_g = self.g2.value(x)
-        if math.isinf(v_g):
-            return math.inf
-        return v_f + self.gamma * v_g
+        return penalized_sum(self.f2.value(x), self.g2.value(x), self.gamma)
 
 
-def compose_prox(f2, g2, gamma: float, require_prox: bool = True) -> ProxSpec:
+def penalized_sum(v_f: float, v_g: float, gamma: float) -> float:
+    """v_f + gamma*v_g, or +inf when either is infinite (see ``ProxSpec``)."""
+    return math.inf if math.isinf(v_f) or math.isinf(v_g) else v_f + gamma * v_g
+
+
+def compose_prox(f2, g2, gamma: float) -> ProxSpec:
     """Exact prox of f2 + gamma*g2.
 
     Supported pairs: either side zero; l1 + l1 (weights add); l1 + box
     indicator (soft threshold then clamp); box + box (intersection); L1 ball
     + L1 ball (smaller radius).  Indicator parts are unaffected by gamma.
-    With ``require_prox=False`` an unsupported pair yields a spec whose prox
-    is None, for subgradient-mode objectives.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -117,6 +114,6 @@ def compose_prox(f2, g2, gamma: float, require_prox: bool = True) -> ProxSpec:
         r = min(f2.radius, g2.radius)
         prox = lambda y, t: project_l1_ball(y, r)
 
-    if prox is None and require_prox:
+    if prox is None:
         raise NonComposableProx(f"no exact combined prox for pair {kinds}")
     return ProxSpec(f2=f2, g2=g2, gamma=gamma, prox=prox)

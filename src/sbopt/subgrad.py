@@ -22,7 +22,7 @@ from .apg import SolverTrace, _step_norm
 from .errors import (InfeasibleStart, InvalidStrongConvexity,
                      UnsupportedTerm)
 from .model import NonsmoothTerm, PenalizedObjective, SmoothTerm
-from .prox import ProxSpec
+from .prox import ProxSpec, penalized_sum
 
 
 @dataclass(frozen=True)
@@ -117,9 +117,10 @@ def _value_and_subgradient(term: NonsmoothTerm, x: np.ndarray):
 
 
 def assemble_nonsmooth(f2: NonsmoothTerm, g2: NonsmoothTerm, gamma: float,
-                       f_value=None, g_gap=None) -> PenalizedObjective:
+                       instance=None) -> PenalizedObjective:
     """Penalized objective f2 + gamma*g2 in subgradient mode: no smooth part,
-    no prox requirement, l_gamma = l_f2 + gamma*l_g2 from the term constants."""
+    no prox requirement, l_gamma = l_f2 + gamma*l_g2 from the term constants.
+    A given ``instance`` is linked, so traces report its F and G - G*."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     if f2.lipschitz is None or g2.lipschitz is None:
@@ -127,7 +128,7 @@ def assemble_nonsmooth(f2: NonsmoothTerm, g2: NonsmoothTerm, gamma: float,
     psi = ProxSpec(f2=f2, g2=g2, gamma=gamma, prox=None)
     return PenalizedObjective(gamma=gamma, phi=SmoothTerm.zero(), psi=psi,
                               subgrad_lipschitz=f2.lipschitz + gamma * g2.lipschitz,
-                              f_value=f_value, g_gap=g_gap)
+                              instance=instance)
 
 
 def subgrad_solve(objective: PenalizedObjective, x0: np.ndarray,
@@ -158,7 +159,7 @@ def subgrad_solve(objective: PenalizedObjective, x0: np.ndarray,
         # term evaluated once and the same arithmetic as the separate calls
         v_f, s_f = _value_and_subgradient(f2, x)
         v_g, s_g = _value_and_subgradient(g2, x)
-        psi = math.inf if math.isinf(v_f) or math.isinf(v_g) else v_f + gamma * v_g
+        psi = penalized_sum(v_f, v_g, gamma)
         return scale * (phi.value(x) + psi), scale * (s_f + gamma * s_g)
 
     trace = SolverTrace()
@@ -166,7 +167,7 @@ def subgrad_solve(objective: PenalizedObjective, x0: np.ndarray,
     x = x0.copy()
     best_val, sub = value_and_subgrad(x)
     x_best = x.copy()
-    trace.record(objective, 0, x, 0.0, t0, best=best_val)
+    trace.record(objective, 0, x, 0.0, t0, best=best_val, value=best_val)
     if config.keep_iterates:
         trace.iterates.append(x.copy())
 
@@ -189,7 +190,7 @@ def subgrad_solve(objective: PenalizedObjective, x0: np.ndarray,
                        and time.perf_counter() - t0 >= config.max_seconds)
         done = (k + 1 == config.max_iters) or out_of_time
         if (k + 1) % config.record_every == 0 or done:
-            trace.record(objective, k + 1, x, step_norm, t0, best=best_val)
+            trace.record(objective, k + 1, x, step_norm, t0, best=best_val, value=val)
         if done:
             if out_of_time and k + 1 < config.max_iters:
                 reason = "time_budget"

@@ -99,6 +99,18 @@ class TestKindTable:
         for y in POINTS:
             assert _same(subgradient_oracle(term, y), term.subgradient(y))
 
+    def test_subgradient_bound(self):
+        # weight*sqrt(n) for l1, the custom term's lipschitz; None for the
+        # kinds that add no subgradient
+        assert NonsmoothTerm.l1_norm(0.3).subgradient_bound(16) == 0.3 * 4.0
+        assert NonsmoothTerm.custom(lambda x: 0.0,
+                                    lipschitz=2.5).subgradient_bound(16) == 2.5
+        for term in (NonsmoothTerm.zero(), NonsmoothTerm.indicator_l1_ball(1.0),
+                     NonsmoothTerm.indicator_box(LO, HI)):
+            assert term.subgradient_bound(6) is None
+        with pytest.raises(UnsupportedTerm):
+            NonsmoothTerm.custom(lambda x: 0.0).subgradient_bound(6)
+
     def test_unknown_kind_is_a_typed_error(self):
         with pytest.raises(UnsupportedTerm) as err:
             NonsmoothTerm(kind="L1")

@@ -272,7 +272,6 @@ class TestScaledView:
         assert sc.l_gamma == pytest.approx(10.0 * obj.l_gamma)
         x = np.array([0.7])
         assert sc.value(x) == pytest.approx(10.0 * obj.value(x))
-        np.testing.assert_allclose(sc.smooth_grad(x), 10.0 * obj.smooth_grad(x))
 
     def test_step_path_is_scale_free(self):
         inst = toy_quadratic_instance()

@@ -148,9 +148,8 @@ class TestEnginesTakeTheSameIterates:
             x0 = np.zeros(instance.dim)
             runs = []
             for g_term in (fused, separate):
-                objective = assemble_nonsmooth(
-                    f_term, g_term, 3.0, f_value=instance.upper_value,
-                    g_gap=lambda x: instance.lower_value(x) - 0.5)
+                objective = assemble_nonsmooth(f_term, g_term, 3.0,
+                                               instance=instance)
                 runs.append(subgrad_solve(objective, x0, cfg))
             _assert_same_run(*runs)
 

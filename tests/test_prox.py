@@ -141,12 +141,6 @@ class TestComposeProx:
             compose_prox(NonsmoothTerm.l1_norm(1.0),
                          NonsmoothTerm.indicator_l1_ball(1.0), 1.0)
 
-    def test_unsupported_pair_tolerated_without_prox(self):
-        spec = compose_prox(NonsmoothTerm.l1_norm(1.0),
-                            NonsmoothTerm.indicator_l1_ball(1.0), 1.0,
-                            require_prox=False)
-        assert spec.prox is None
-
     def test_evaluate_extended_real(self):
         spec = compose_prox(NonsmoothTerm.l1_norm(2.0),
                             NonsmoothTerm.indicator_box(np.array([-1.0]),
