@@ -298,8 +298,9 @@ def _apg_config(cfg: ExperimentConfig, epsilon: float) -> ApgConfig:
 
 def _subgrad_baseline(instance: BilevelInstance, gamma: float, x_ref):
     """Projected-subgradient treatment of the whole penalized objective:
-    indicator constraints become the projection domain, everything else is
-    handled through subgradients with Lipschitz bounds over that domain."""
+    an indicator g2 becomes the projection domain, everything else (f2 and
+    any other g2 included) is handled through subgradients with Lipschitz
+    bounds over that domain."""
     g2 = instance.g2
     domain = Domain(g2 if g2.is_indicator else NonsmoothTerm.indicator_l1_ball(
         2.0 * max(1.0, float(np.sum(np.abs(x_ref))))))
@@ -318,9 +319,17 @@ def _subgrad_baseline(instance: BilevelInstance, gamma: float, x_ref):
     f_all = NonsmoothTerm.custom(instance.upper_value,
                                  subgrad_oracle=upper_subgrad,
                                  lipschitz=l_upper)
-    g_all = NonsmoothTerm.custom(g1.value, subgrad_oracle=g1.grad,
-                                 lipschitz=g1.grad_bound(xbound, n),
-                                 value_subgrad_oracle=g1.value_grad)
+    l_lower = g1.grad_bound(xbound, n)
+    g2_bound = g2.subgradient_bound(n)
+    if g2_bound is None:
+        g_all = NonsmoothTerm.custom(g1.value, subgrad_oracle=g1.grad,
+                                     lipschitz=l_lower,
+                                     value_subgrad_oracle=g1.value_grad)
+    else:
+        g_all = NonsmoothTerm.custom(
+            instance.lower_value,
+            subgrad_oracle=lambda x: g1.grad(x) + subgradient_oracle(g2, x),
+            lipschitz=l_lower + g2_bound)
     objective = assemble_nonsmooth(f_all, g_all, gamma, instance=instance)
     radius = float(np.linalg.norm(x_ref)) + 1.0
     return objective, domain, radius

@@ -417,21 +417,27 @@ def lipschitz_least_squares(A) -> float:
 # terms are all built from these.
 
 def _logistic_parts(A, b, x):
-    """Margins t = b * (A x) and z = exp(-|t|)."""
-    t = b * (A @ x)
-    return t, np.exp(-np.abs(t))
+    """Margins t = b * (A x) and z = exp(-|t|), one new array each."""
+    t = A @ x
+    t *= b
+    z = np.abs(t)
+    return t, np.exp(np.negative(z, out=z), out=z)
 
 
 def _logistic_value(t, z) -> float:
-    # softplus(-t) = max(-t, 0) + log1p(exp(-|t|)), which cannot overflow;
+    # softplus(-t) = log1p(exp(-|t|)) - min(t, 0), which cannot overflow;
     # the mean is np.mean's own sum-then-divide, without its dispatch cost
-    losses = np.maximum(-t, 0.0) + np.log1p(z)
+    losses = np.log1p(z)
+    losses -= np.minimum(t, 0.0)
     return float(losses.sum()) / losses.shape[0]
 
 
 def _logistic_grad(A, b, t, z):
-    sig_neg_t = np.where(t >= 0, z / (1.0 + z), 1.0 / (1.0 + z))
-    return -(A.T @ (b * sig_neg_t)) / A.shape[0]
+    # sigma(-t) = z / (1 + z) for t >= 0 and 1 / (1 + z) below, as one division
+    s = np.where(t >= 0, z, 1.0)
+    s /= z + 1.0
+    s *= b
+    return (A.T @ s) / -A.shape[0]
 
 
 def _least_squares_parts(A, b, x):

@@ -26,29 +26,34 @@ def prox_l1(y: np.ndarray, lam: float) -> np.ndarray:
 def project_l1_ball(y: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection onto {x : ||x||_1 <= radius}.
 
-    Sort-based exact method; ties at the threshold are resolved by the
-    closed-form shift, so the result is deterministic.
+    Sort-based exact method (Duchi et al., ICML 2008): the threshold comes
+    from the last index k of the sorted magnitudes u with
+    (k+1) u_k > sum_{i<=k} u_i - radius.  Ties at the threshold are resolved
+    by the closed-form shift, so the result is deterministic.  Rounding can
+    leave the shrunk point an ulp outside the ball; the excess is then
+    shaved evenly off the support, at most five times, so the output passes
+    its own feasibility check and the projection is exactly idempotent.  The
+    shave runs over the whole vector: an entry at 0 stays 0 under
+    max(p - delta, 0), and only the support counts in delta.
     """
     y = np.asarray(y, dtype=float)
     a = np.abs(y)
     if float(a.sum()) <= radius:
         return y.copy()
     u = np.sort(a)[::-1]
-    css = np.cumsum(u)
-    j = np.arange(1, u.size + 1)
-    k = int(np.nonzero(u * j > css - radius)[0][-1])
-    theta = (css[k] - radius) / (k + 1)
-    p = np.maximum(a - theta, 0.0)
-    # Rounding can leave the shrunk point an ulp outside the ball; shave the
-    # excess off the support so the output passes its own feasibility check
-    # and the projection is exactly idempotent.
+    css = u.cumsum()
+    above = u * np.arange(1, u.size + 1) > css - radius
+    k = u.size - 1 - int(above[::-1].argmax())
+    a -= (css[k] - radius) / (k + 1)
+    p = np.maximum(a, 0.0, out=a)
     for _ in range(5):
         excess = float(p.sum()) - radius
         if excess <= 0.0:
             break
-        support = p > 0.0
-        p[support] = np.maximum(p[support] - excess / support.sum(), 0.0)
-    return np.sign(y) * p
+        p -= excess / np.count_nonzero(p)
+        np.maximum(p, 0.0, out=p)
+    p *= np.sign(y)
+    return p
 
 
 def project_box(y: np.ndarray, lo, hi) -> np.ndarray:

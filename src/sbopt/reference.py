@@ -154,7 +154,10 @@ def upper_opt_value(instance: BilevelInstance, g_star: float,
     Solves the penalized problem at gamma with the gradient-restarted
     accelerated engine, escalating gamma tenfold until the solution's
     residual meets the relaxation; F at that point is reported as F*.
-    Raises RelaxationUnreachable past the escalation cap.
+    Raises RelaxationUnreachable past the escalation cap.  A solve that
+    ends on ``max_iters_per_solve`` certifies nothing, so it raises
+    Nonconvergence carrying F at its last iterate and that iterate's
+    gradient-mapping norm.
     """
     if relaxation <= 0:
         raise ValueError("relaxation must be positive")
@@ -168,9 +171,15 @@ def upper_opt_value(instance: BilevelInstance, g_star: float,
                         record_every=max_iters_per_solve)
         mu = objective.strong_convexity
         if mu > 0:
-            x, _ = pb_apg_sc(objective, mu, x, cfg)
+            x, trace = pb_apg_sc(objective, mu, x, cfg)
         else:
-            x, _ = pb_apg(objective, x, cfg)
+            x, trace = pb_apg(objective, x, cfg)
+        if trace.terminal_reason == "max_iters":
+            raise Nonconvergence(
+                f"upper-level reference solve at gamma={gamma:g} hit its "
+                f"{max_iters_per_solve}-iteration cap",
+                best_value=inst.upper_value(x),
+                certificate=gradient_mapping_norm(objective, x))
         gap = inst.lower_gap(x)
         if gap <= relaxation:
             return ReferenceReport(

@@ -72,6 +72,9 @@ class Diminishing:
         if self.radius <= 0:
             raise ValueError("radius must be positive")
 
+    def step(self, k: int, l_gamma: float) -> float:
+        return self.radius / (l_gamma * math.sqrt(k + 1.0))
+
 
 @dataclass(frozen=True)
 class StronglyConvex:
@@ -82,6 +85,9 @@ class StronglyConvex:
     def __post_init__(self):
         if self.mu <= 0:
             raise ValueError("mu must be positive")
+
+    def step(self, k: int, l_gamma: float) -> float:
+        return 2.0 / (self.mu * (k + 1.0))
 
 
 @dataclass(frozen=True)
@@ -162,22 +168,21 @@ def subgrad_solve(objective: PenalizedObjective, x0: np.ndarray,
         psi = penalized_sum(v_f, v_g, gamma)
         return scale * (phi.value(x) + psi), scale * (s_f + gamma * s_g)
 
+    step, project = config.schedule.step, config.domain.project
     trace = SolverTrace()
     t0 = time.perf_counter()
     x = x0.copy()
     best_val, sub = value_and_subgrad(x)
-    x_best = x.copy()
+    x_best = x
     trace.record(objective, 0, x, 0.0, t0, best=best_val, value=best_val)
     if config.keep_iterates:
         trace.iterates.append(x.copy())
 
+    # x is rebound to a new projection each step, so x_best needs no copy
     reason = "max_iters"
     for k in range(config.max_iters):
-        if isinstance(config.schedule, Diminishing):
-            eta = config.schedule.radius / (l_gamma * math.sqrt(k + 1.0))
-        else:
-            eta = 2.0 / (config.schedule.mu * (k + 1.0))
-        x_next = config.domain.project(x - eta * sub)
+        sub *= step(k, l_gamma)
+        x_next = project(x - sub)
         step_norm = _step_norm(x_next - x, x_next, trace)
         x = x_next
         if config.keep_iterates:
@@ -185,7 +190,7 @@ def subgrad_solve(objective: PenalizedObjective, x0: np.ndarray,
         val, sub = value_and_subgrad(x)
         if val < best_val:
             best_val = val
-            x_best = x.copy()
+            x_best = x
         out_of_time = (config.max_seconds is not None
                        and time.perf_counter() - t0 >= config.max_seconds)
         done = (k + 1 == config.max_iters) or out_of_time

@@ -5,7 +5,8 @@ import pytest
 
 from helpers import toy_quadratic_instance
 from sbopt.bench.synth import synth_lrp, synth_lsrp
-from sbopt.errors import RelaxationUnreachable
+from sbopt.bench.synth import synth_instance
+from sbopt.errors import Nonconvergence, RelaxationUnreachable
 from sbopt.reference import (lower_opt_value, min_norm_least_squares,
                              upper_opt_value)
 
@@ -192,6 +193,18 @@ class TestUpperOptValue:
             upper_opt_value(inst, g_star=0.0, relaxation=1e-30,
                             gamma0=1.0, gamma_cap=1e3,
                             max_iters_per_solve=2000)
+
+    def test_solve_on_its_cap_raises(self):
+        # on the lsrp-bench instance every 500-iteration solve stops on its
+        # cap; F at such a point (3.489 at gamma 1e5, against a true 2.597)
+        # certifies nothing and must not come back as F*
+        inst, _ = synth_instance("lsrp", 100, 190, 3, tau=0.02)
+        ref = lower_opt_value(inst)
+        with pytest.raises(Nonconvergence) as err:
+            upper_opt_value(inst, ref.g_star, relaxation=1e-9,
+                            max_iters_per_solve=500)
+        assert np.isfinite(err.value.best_value)
+        assert err.value.certificate > 0.0
 
     def test_theorem_lower_bound_against_reference(self):
         # suboptimality of certified points never undershoots the bound

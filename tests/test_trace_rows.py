@@ -168,6 +168,21 @@ class TestSubgradientBaselineDomain:
         objective, domain, _ = _subgrad_baseline(inst, 10.0, np.zeros(5))
         assert domain.bounded and math.isfinite(objective.subgrad_lipschitz)
 
+    def test_non_indicator_g2_is_folded_into_the_lower_term(self):
+        inst = dataclasses.replace(self._min_norm(),
+                                   g2=NonsmoothTerm.l1_norm(3.0))
+        gamma, x = 10.0, np.ones(5)
+        objective, domain, _ = _subgrad_baseline(inst, gamma, np.zeros(5))
+        # F + gamma*G with gamma*g2 = 150; without g2 it would read 26.50
+        assert objective.value(x) == pytest.approx(176.4955545873, abs=1e-9)
+        assert objective.value(x) == pytest.approx(
+            inst.upper_value(x) + gamma * inst.lower_value(x), rel=1e-15)
+        g_all = objective.psi.g2
+        np.testing.assert_allclose(g_all.subgradient(-x),
+                                   inst.g1.grad(-x) - 3.0, rtol=1e-15)
+        assert g_all.lipschitz == (
+            inst.g1.grad_bound(domain.term.norm_bound, 5) + 3.0 * math.sqrt(5))
+
     @pytest.mark.parametrize("make", [synth_lrp, synth_lsrp])
     def test_lower_bound_comes_from_the_term(self, make):
         inst, _ = make(30, 12, 2)
