@@ -7,6 +7,8 @@ subgradient methods, choosing gamma from Holderian error-bound constants and
 certifying (eps_F, eps_G)-optimality afterwards.
 """
 
+import logging
+
 from .adaptive import (LadderConfig, LadderStage, apb_apg, apb_apg_sc,
                        ladder_entry_index, stage_gap_bound)
 from .apg import (ApgConfig, SolverTrace, gradient_mapping_norm,
@@ -34,3 +36,7 @@ from .subgrad import (Diminishing, Domain, StronglyConvex, SubgradConfig,
                       assemble_nonsmooth, subgrad_solve, subgradient_oracle)
 
 __version__ = "0.1.0"
+
+# The run log: reference checkpoints, ladder stages and runs that end on
+# their iteration cap.  Silent unless the application configures logging.
+logging.getLogger("sbopt").addHandler(logging.NullHandler())

@@ -13,6 +13,7 @@ certified (eps_k, 2*eps_k/(gamma_k - gamma*_k)) optimality pair.
 from __future__ import annotations
 
 import dataclasses
+import logging
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -23,6 +24,8 @@ from .apg import ApgConfig, pb_apg, pb_apg_sc
 from .errors import InvalidErrorBound, InvalidLadder
 from .model import BilevelInstance, assemble_penalized
 from .penalty import gamma_star
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -120,6 +123,12 @@ def _run_ladder(instance: BilevelInstance, x0, ladder: LadderConfig,
         g_gap = None
         if instance.lower_opt_value is not None:
             g_gap = instance.lower_gap(x)
+        log.debug("ladder stage %d: gamma=%g, eps=%g, %d iterations, %s, "
+                  "G gap %s", k, gamma_k, eps_k, trace.total_iterations,
+                  trace.terminal_reason, g_gap)
+        if trace.terminal_reason == "max_iters":
+            log.warning("ladder stage %d (gamma=%g) ended on its %d-iteration "
+                        "cap", k, gamma_k, cfg.max_iters)
         stages.append(LadderStage(index=k, gamma=gamma_k, epsilon=eps_k,
                                   x=x.copy(), trace=trace, g_gap=g_gap,
                                   radius_certified=radius is not None))

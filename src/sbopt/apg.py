@@ -61,6 +61,12 @@ class ApgConfig:
             raise ValueError("record_every must be a positive integer")
 
 
+# Rows a SolverTrace holds at most.  A trace that reaches it keeps every
+# other row (the first included) and doubles its recording stride, so a run
+# of any length records at most this many rows.
+TRACE_ROW_LIMIT = 2**16
+
+
 @dataclass
 class SolverTrace:
     """Per-iteration metrics of one solver run.
@@ -69,7 +75,8 @@ class SolverTrace:
     iterate is always recorded.  Each row is one ``PenalizedObjective.row``
     call, with NaN F and G gaps when the objective has no instance link.
     ``phi_best`` is populated by the subgradient solver only.  ``restarts``
-    counts the momentum resets of a restarted accelerated run.
+    counts the momentum resets of a restarted accelerated run.  The solvers
+    record iteration k when k % ``every`` == 0 (see TRACE_ROW_LIMIT).
     """
 
     ks: list = field(default_factory=list)
@@ -83,11 +90,19 @@ class SolverTrace:
     terminal_reason: str = ""
     total_iterations: int = 0
     restarts: int = 0
+    every: int = 1
 
     def record(self, objective, k, x, step_norm, t0, best=None, value=None):
         # Stamped before the evaluations below, so a row's timestamp does
         # not include the cost of recording that row.
-        self.elapsed.append(time.perf_counter() - t0)
+        stamp = time.perf_counter() - t0
+        if len(self.ks) >= TRACE_ROW_LIMIT:
+            for column in (self.ks, self.phi_values, self.f_values,
+                           self.g_gaps, self.step_norms, self.elapsed,
+                           self.phi_best):
+                del column[1::2]
+            self.every *= 2
+        self.elapsed.append(stamp)
         self.ks.append(k)
         phi, f, g_gap = objective.row(x, value)
         self.phi_values.append(phi)
@@ -206,7 +221,7 @@ def _accelerate(objective: PenalizedObjective, x: np.ndarray, budget: int,
             trace.restarts += 1
         done = (k + 1 == cap) or (config.step_tolerance > 0.0
                                   and step_norm <= config.step_tolerance)
-        if (k + 1) % config.record_every == 0 or done:
+        if (k + 1) % trace.every == 0 or done:
             trace.record(objective, k + 1, x, step_norm, t0)
         if done:
             if k + 1 < cap:
@@ -244,7 +259,8 @@ def pb_apg(objective: PenalizedObjective, x0: np.ndarray,
     radius = _default_radius(x0, config)
     budget = iteration_budget(objective.l_gamma, radius, config.epsilon)
     t0 = time.perf_counter()
-    return _accelerate(objective, x0, budget, None, config, SolverTrace(), t0)
+    trace = SolverTrace(every=config.record_every)
+    return _accelerate(objective, x0, budget, None, config, trace, t0)
 
 
 def pb_apg_sc(objective: PenalizedObjective, mu: float, x_init: np.ndarray,
@@ -274,7 +290,7 @@ def pb_apg_sc(objective: PenalizedObjective, mu: float, x_init: np.ndarray,
     budget = sc_budget(L, mu, radius, config.epsilon)
     beta = (math.sqrt(L) - math.sqrt(mu)) / (math.sqrt(L) + math.sqrt(mu))
 
-    trace = SolverTrace()
+    trace = SolverTrace(every=config.record_every)
     t0 = time.perf_counter()
     y_tilde = x_init - objective.grad_step(x_init)
     x = objective.prox_step(y_tilde - objective.grad_step(y_tilde))

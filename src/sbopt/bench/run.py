@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 import math
 import os
 import time
@@ -32,9 +33,15 @@ from ..subgrad import (Diminishing, Domain, SubgradConfig, assemble_nonsmooth,
 from .data import augment_collinear, minmax_scale, parse_libsvm_path
 from .synth import synth_instance
 
+log = logging.getLogger(__name__)
+
 CSV_HEADER = "iter,elapsed_s,F_value,G_gap,step_norm,gamma,eps_stage"
 SUMMARY_HEADER = ("method,total_iterations,lower_level_value,lower_level_gap,"
                   "upper_level_value,upper_level_gap,certificate")
+
+# How F* was found: the ReferenceReport fields report.json copies as is
+F_STAR_KEYS = ("f_star_lower", "f_star_upper", "f_star_method",
+               "f_star_solves", "f_star_iterations")
 
 KNOWN_SOLVERS = ("pb_apg", "apb_apg", "pb_apg_sc", "apb_apg_sc", "subgrad")
 KNOWN_PROBLEMS = ("lrp-synth", "lsrp-synth", "lrp-libsvm", "lsrp-libsvm")
@@ -131,6 +138,7 @@ class RunReport:
     f_star: float = math.nan
     relaxation: float = math.nan
     achieved_relaxation_gap: float = math.nan
+    f_star_record: dict = field(default_factory=dict)  # F_STAR_KEYS
     solvers: Dict[str, SolverResult] = field(default_factory=dict)
     wall_total: float = 0.0
     files: List[str] = field(default_factory=list)
@@ -340,17 +348,18 @@ def _run_one_solver(name: str, cfg: ExperimentConfig,
     """Returns (x_final, segments) with segments = [(gamma, eps_stage, trace)]."""
     x0 = np.zeros(instance.dim)
     run_eps = cfg.epsilon if cfg.epsilon is not None else 1e-9
-    if name == "pb_apg":
+    if name in ("pb_apg", "pb_apg_sc"):
         objective = assemble_penalized(instance, gamma)
-        x, trace = pb_apg(objective, x0, _apg_config(cfg, run_eps))
-        return x, [(gamma, run_eps, trace)]
-    if name == "pb_apg_sc":
-        objective = assemble_penalized(instance, gamma)
-        mu = objective.strong_convexity
-        if mu <= 0:
-            raise ConfigError("pb_apg_sc needs a strongly convex smooth upper part",
-                              field="solvers")
-        x, trace = pb_apg_sc(objective, mu, x0, _apg_config(cfg, run_eps))
+        if name == "pb_apg":
+            x, trace = pb_apg(objective, x0, _apg_config(cfg, run_eps))
+        else:
+            mu = objective.strong_convexity
+            if mu <= 0:
+                raise ConfigError("pb_apg_sc needs a strongly convex smooth "
+                                  "upper part", field="solvers")
+            x, trace = pb_apg_sc(objective, mu, x0, _apg_config(cfg, run_eps))
+        if trace.terminal_reason == "max_iters":
+            log.warning("%s ended on its %d-iteration cap", name, cfg.max_iters)
         return x, [(gamma, run_eps, trace)]
     if name in ("apb_apg", "apb_apg_sc"):
         ladder = LadderConfig(gamma0=cfg.gamma0, nu=cfg.nu, eta=cfg.eta,
@@ -417,6 +426,7 @@ def _report_json(report: RunReport, fixed_clock: bool) -> str:
             "f_star": report.f_star,
             "relaxation": report.relaxation,
             "achieved_relaxation_gap": report.achieved_relaxation_gap,
+            **report.f_star_record,
         },
         "solvers": {
             name: {
@@ -460,6 +470,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     report.f_star = upper.f_star
     report.relaxation = cfg.relaxation
     report.achieved_relaxation_gap = upper.achieved_lower_gap
+    report.f_star_record = {k: getattr(upper, k) for k in F_STAR_KEYS}
 
     for name in cfg.solvers:
         res = SolverResult(name=name)

@@ -198,6 +198,13 @@ class NonsmoothTerm:
         return math.inf if self.kind == "zero" else None
 
     @property
+    def l1_weight(self) -> Optional[float]:
+        """w when the term is w*||x||_1, 0 for the zero term, else None."""
+        if self.kind == "l1":
+            return self.weight
+        return 0.0 if self.kind == "zero" else None
+
+    @property
     def is_indicator(self) -> bool:
         return self.kind in ("l1_ball", "box")
 
@@ -534,7 +541,8 @@ def least_squares_smooth_term(A, b) -> SmoothTerm:
 def squared_norm_term(weight: float = 1.0) -> SmoothTerm:
     """(weight/2) ||x||^2, which is weight-strongly convex and weight-smooth."""
     return SmoothTerm(lambda x: 0.5 * weight * float(x @ x),
-                      lambda x: weight * x, weight, weight)
+                      lambda x: weight * x, weight, weight,
+                      tag="squared_norm", payload=(weight,))
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,14 @@ G* for a least-squares lower level comes from the minimum-norm solution of
 the normal equations; composite lower levels fall back to a long accelerated
 run with gradient restart (O'Donoghue and Candes, 2015), certified by the
 gradient-mapping norm.  F* is approximated by solving the penalized problem
-at an escalating penalty until the residual meets a stated relaxation, which
-makes the substitution auditable: the report records the relaxation and the
-residual actually achieved.
+at an escalating penalty until the residual meets a stated relaxation, or,
+for least-squares lower levels, until a dual/feasible bracket on F* is
+narrow enough; the report records which rule stopped and the evidence.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -23,7 +24,9 @@ from .apg import ApgConfig, gradient_mapping_norm, pb_apg, pb_apg_sc
 from .errors import Nonconvergence, RelaxationUnreachable
 from .model import (BilevelInstance, NonsmoothTerm, PenalizedObjective,
                     assemble_penalized, least_squares_value_grad)
-from .prox import compose_prox
+from .prox import compose_prox, prox_l1
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -38,6 +41,11 @@ class ReferenceReport:
     achieved_lower_gap: Optional[float] = None
     x: Optional[np.ndarray] = None
     iterations: int = 0
+    f_star_lower: Optional[float] = None
+    f_star_upper: Optional[float] = None
+    f_star_method: Optional[str] = None
+    f_star_solves: int = 0
+    f_star_iterations: int = 0
 
 
 def min_norm_least_squares(A, b, tol: float = 1e-13,
@@ -78,6 +86,13 @@ def min_norm_least_squares(A, b, tol: float = 1e-13,
     return x
 
 
+def _min_norm_solution(A, b):
+    """The min-norm least-squares point and its normal-equation residual
+    ||A'(A x - b)||, the certificate of G* on the least-squares route."""
+    x_hat = min_norm_least_squares(A, b)
+    return x_hat, float(np.linalg.norm(A.T @ (A @ x_hat - b)))
+
+
 def _lower_objective(instance: BilevelInstance) -> PenalizedObjective:
     """The lower level g1 + g2 alone, packaged for the accelerated engines."""
     psi = compose_prox(NonsmoothTerm.zero(), instance.g2, 1.0)
@@ -107,10 +122,9 @@ def lower_opt_value(instance: BilevelInstance, tolerance: float = 1e-12,
     g1, g2 = instance.g1, instance.g2
     if g1.tag == "least_squares" and g1.payload is not None:
         A, b = g1.payload
-        x_hat = min_norm_least_squares(A, b)
+        x_hat, resid = _min_norm_solution(A, b)
         if g2.value(x_hat) == 0.0:
-            value, grad = least_squares_value_grad(A, b, x_hat)
-            resid = float(np.linalg.norm(A.T @ (A @ x_hat - b)))
+            value, _ = least_squares_value_grad(A, b, x_hat)
             return ReferenceReport(g_star=value, f_star=None,
                                    method="min_norm_least_squares",
                                    residual_certificate=resid, x=x_hat)
@@ -133,15 +147,49 @@ def lower_opt_value(instance: BilevelInstance, tolerance: float = 1e-12,
         total += max(trace.total_iterations, 1)
         step = min(2 * step, chunk)
         gm = gradient_mapping_norm(objective, x)
+        log.debug("G* checkpoint: %d iterations, gradient-mapping norm %.3g",
+                  total, gm)
         if gm <= tolerance:
             return ReferenceReport(g_star=instance.lower_value(x), f_star=None,
                                    method="accelerated_restart",
                                    residual_certificate=gm, x=x,
                                    iterations=total)
     gm = gradient_mapping_norm(objective, x)
+    log.warning("G* reference run hit its %d-iteration cap", max_iters)
     raise Nonconvergence(
         f"lower-level reference run hit the {max_iters}-iteration cap",
         best_value=instance.lower_value(x), certificate=gm)
+
+
+def _dual_bracket(inst: BilevelInstance):
+    """The F* bracket of a penalized solution, as ``bracket(gamma, x) ->
+    (lower, upper)``, when g1 is least squares and g2 zero, so the lower
+    solution set is {x : A x = c} with c = A x_hat for the min-norm x_hat,
+    and F = (tau/2)||x||^2 + w||x||_1 with tau > 0 (w = 0 for a zero f2).
+    None otherwise.
+
+    Lower: the dual of min F s.t. A x = c at lambda = gamma (c - A x)/m,
+    D(lambda) = lambda'c - ||soft(A'lambda, w)||^2 / (2 tau) <= F* (weak
+    duality holds for any lambda).  Upper: F at the feasible point
+    x + min_norm_least_squares(A, c - A x), or None when that point's lower
+    gap exceeds G*'s certificate."""
+    f1, g1, w = inst.f1, inst.g1, inst.f2.l1_weight
+    if (f1.tag != "squared_norm" or g1.tag != "least_squares" or w is None
+            or inst.g2.l1_weight != 0.0 or not f1.payload[0] > 0.0):
+        return None
+    A, b = g1.payload
+    x_hat, certificate = _min_norm_solution(A, b)
+    c, tau = A @ x_hat, f1.payload[0]
+
+    def bracket(gamma, x):
+        r = c - A @ x
+        lam = (gamma / A.shape[0]) * r
+        u = prox_l1(A.T @ lam, w)
+        x_f = x + min_norm_least_squares(A, r)
+        feasible = inst.lower_gap(x_f) <= certificate
+        return (float(lam @ c) - float(u @ u) / (2.0 * tau),
+                inst.upper_value(x_f) if feasible else None)
+    return bracket
 
 
 def upper_opt_value(instance: BilevelInstance, g_star: float,
@@ -152,18 +200,34 @@ def upper_opt_value(instance: BilevelInstance, g_star: float,
     """Approximate F* = min F(x) subject to G(x) - G* <= relaxation.
 
     Solves the penalized problem at gamma with the gradient-restarted
-    accelerated engine, escalating gamma tenfold until the solution's
-    residual meets the relaxation; F at that point is reported as F*.
-    Raises RelaxationUnreachable past the escalation cap.  A solve that
-    ends on ``max_iters_per_solve`` certifies nothing, so it raises
-    Nonconvergence carrying F at its last iterate and that iterate's
-    gradient-mapping norm.
+    accelerated engine, escalating gamma tenfold, and stops after the first
+    solve x that meets either rule:
+
+    - ``relaxation``: G(x) - G* <= relaxation;
+    - ``dual_bracket``: on the route of ``_dual_bracket`` (least-squares
+      g1, g2 = 0, f1 = (tau/2)||x||^2 with tau > 0, f2 L1 or zero), its
+      bracket is at most l_F (rho * relaxation)^(1/alpha) wide, the
+      accuracy the relaxation rule claims.
+
+    F* is F(x), or on the bracket route the bracket's lower end, which is
+    certified.  ``f_star_method`` names the rule, ``f_star_lower`` and
+    ``f_star_upper`` the last bracket (None off its route), and
+    ``achieved_lower_gap`` is G(x) - G*, above the relaxation when the
+    bracket stopped first.  Raises RelaxationUnreachable past the
+    escalation cap.  A solve that ends on ``max_iters_per_solve`` certifies
+    nothing, so it raises Nonconvergence carrying F at its last iterate and
+    that iterate's gradient-mapping norm.
     """
     if relaxation <= 0:
         raise ValueError("relaxation must be positive")
     inst = instance.with_lower_opt_value(g_star)
+    bracket = _dual_bracket(inst)
+    width = (inst.subgrad_diameter
+             * (inst.rho * relaxation) ** (1.0 / inst.alpha))
     x = np.zeros(instance.dim)
     gamma = gamma0
+    solves = iterations = 0
+    lower = upper = None
     while gamma <= gamma_cap:
         objective = assemble_penalized(inst, gamma)
         cfg = ApgConfig(epsilon=1e-18, max_iters=max_iters_per_solve,
@@ -174,19 +238,32 @@ def upper_opt_value(instance: BilevelInstance, g_star: float,
             x, trace = pb_apg_sc(objective, mu, x, cfg)
         else:
             x, trace = pb_apg(objective, x, cfg)
+        solves += 1
+        iterations += trace.total_iterations
         if trace.terminal_reason == "max_iters":
+            log.warning("F* reference solve at gamma=%g hit its %d-iteration "
+                        "cap", gamma, max_iters_per_solve)
             raise Nonconvergence(
                 f"upper-level reference solve at gamma={gamma:g} hit its "
                 f"{max_iters_per_solve}-iteration cap",
                 best_value=inst.upper_value(x),
                 certificate=gradient_mapping_norm(objective, x))
         gap = inst.lower_gap(x)
-        if gap <= relaxation:
+        if bracket is not None:
+            lower, upper = bracket(gamma, x)
+        log.debug("F* gamma=%g: %d iterations, lower gap %.3g, bracket "
+                  "[%s, %s]", gamma, trace.total_iterations, gap, lower, upper)
+        bracketed = upper is not None and upper - lower <= width
+        if bracketed or gap <= relaxation:
             return ReferenceReport(
-                g_star=g_star, f_star=inst.upper_value(x),
+                g_star=g_star,
+                f_star=inst.upper_value(x) if lower is None else lower,
                 method=f"penalty_escalation(gamma={gamma:g})",
                 residual_certificate=gradient_mapping_norm(objective, x),
-                relaxation_epsilon=relaxation, achieved_lower_gap=gap, x=x)
+                relaxation_epsilon=relaxation, achieved_lower_gap=gap, x=x,
+                f_star_lower=lower, f_star_upper=upper,
+                f_star_method="dual_bracket" if bracketed else "relaxation",
+                f_star_solves=solves, f_star_iterations=iterations)
         gamma *= growth
     raise RelaxationUnreachable(
         f"residual stayed above {relaxation:g} up to gamma={gamma_cap:g}")

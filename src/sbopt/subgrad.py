@@ -169,7 +169,7 @@ def subgrad_solve(objective: PenalizedObjective, x0: np.ndarray,
         return scale * (phi.value(x) + psi), scale * (s_f + gamma * s_g)
 
     step, project = config.schedule.step, config.domain.project
-    trace = SolverTrace()
+    trace = SolverTrace(every=config.record_every)
     t0 = time.perf_counter()
     x = x0.copy()
     best_val, sub = value_and_subgrad(x)
@@ -194,7 +194,7 @@ def subgrad_solve(objective: PenalizedObjective, x0: np.ndarray,
         out_of_time = (config.max_seconds is not None
                        and time.perf_counter() - t0 >= config.max_seconds)
         done = (k + 1 == config.max_iters) or out_of_time
-        if (k + 1) % config.record_every == 0 or done:
+        if (k + 1) % trace.every == 0 or done:
             trace.record(objective, k + 1, x, step_norm, t0, best=best_val, value=val)
         if done:
             if out_of_time and k + 1 < config.max_iters:

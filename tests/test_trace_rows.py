@@ -191,3 +191,60 @@ class TestSubgradientBaselineDomain:
         g_all = objective.psi.g2
         assert g_all.lipschitz == inst.g1.grad_bound(domain.term.norm_bound,
                                                      inst.dim)
+
+
+class TestBoundedTraceRows:
+    """A trace at TRACE_ROW_LIMIT rows keeps every other row and doubles its
+    stride: rows stay a strictly increasing subset of the unthinned run's,
+    the terminal row is kept, and the count stays within the limit."""
+
+    LIMIT = 16
+
+    def _runs(self, monkeypatch, run):
+        import sbopt.apg as apg
+        full = run()
+        monkeypatch.setattr(apg, "TRACE_ROW_LIMIT", self.LIMIT)
+        thinned = run()
+        return full, thinned
+
+    def _check(self, full, thinned):
+        (x_full, tr_full), (x_thin, tr) = full, thinned
+        np.testing.assert_array_equal(x_full, x_thin)
+        assert len(tr_full.ks) > 4 * self.LIMIT
+        assert 0 < len(tr.ks) <= self.LIMIT
+        assert all(a < b for a, b in zip(tr.ks, tr.ks[1:]))
+        assert tr.ks[0] == 0 and tr.ks[-1] == tr.total_iterations
+        assert tr.total_iterations == tr_full.total_iterations
+        assert tr.every > 1 and all(k % tr.every == 0 for k in tr.ks[:-1])
+        rows = {k: i for i, k in enumerate(tr_full.ks)}
+        for j, k in enumerate(tr.ks):
+            i = rows[k]
+            for column in ("phi_values", "f_values", "g_gaps", "step_norms",
+                           "phi_best"):
+                full_col, thin_col = getattr(tr_full, column), getattr(tr, column)
+                if full_col:
+                    assert thin_col[j] == full_col[i]
+        assert len(tr.elapsed) == len(tr.ks)
+
+    @pytest.mark.parametrize("engine", ["pb_apg", "pb_apg_sc"])
+    def test_accelerated_engines(self, monkeypatch, engine):
+        inst = _elastic_net_in_a_box()
+        obj = assemble_penalized(inst, 10.0)
+        cfg = ApgConfig(epsilon=1e-12, max_iters=301, restart=True)
+
+        def run():
+            if engine == "pb_apg":
+                return pb_apg(obj, np.zeros(8), cfg)
+            return pb_apg_sc(obj, obj.strong_convexity, np.zeros(8), cfg)
+
+        self._check(*self._runs(monkeypatch, run))
+
+    def test_subgradient_solver(self, monkeypatch):
+        from sbopt.subgrad import Diminishing, SubgradConfig, subgrad_solve
+        inst, _ = synth_lrp(30, 6, 2)
+        inst = inst.with_lower_opt_value(0.5)
+        obj, domain, radius = _subgrad_baseline(inst, 10.0, np.zeros(6))
+        cfg = SubgradConfig(schedule=Diminishing(radius), max_iters=203,
+                            domain=domain)
+        self._check(*self._runs(monkeypatch,
+                                lambda: subgrad_solve(obj, np.zeros(6), cfg)))
