@@ -23,7 +23,7 @@ import numpy as np
 
 from .. import penalty
 from ..adaptive import LadderConfig, apb_apg, apb_apg_sc
-from ..apg import ApgConfig, pb_apg, pb_apg_sc
+from ..apg import ApgConfig, gradient_mapping_norm, pb_apg, pb_apg_sc
 from ..errors import ConfigError, SboptError, UnsupportedTerm
 from ..model import (BilevelInstance, NonsmoothTerm, assemble_penalized,
                      elastic_net_problem, logistic_min_norm_problem)
@@ -124,6 +124,8 @@ class SolverResult:
     cert_passed: bool = False
     wall_seconds: float = 0.0
     error: Optional[str] = None
+    # at x_final for the objective of the last gamma; None for subgrad
+    gradient_mapping_norm: Optional[float] = None
     x_final: Optional[np.ndarray] = None
     segments: list = field(default_factory=list)  # (gamma, eps_stage, trace)
 
@@ -441,6 +443,9 @@ def _report_json(report: RunReport, fixed_clock: bool) -> str:
                 "terminal_reason": (res.segments[-1][2].terminal_reason
                                     if res.segments else None),
                 "restarts": sum(t.restarts for _, _, t in res.segments),
+                "stages_on_cap": sum(t.terminal_reason == "max_iters"
+                                     for _, _, t in res.segments),
+                "gradient_mapping_norm": res.gradient_mapping_norm,
             } for name, res in report.solvers.items()
         },
         "wall_total": 0.0 if fixed_clock else report.wall_total,
@@ -490,6 +495,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         res.lower_gap = res.lower_value - ref.g_star
         res.upper_value = instance.upper_value(x)
         res.upper_gap = res.upper_value - upper.f_star
+        if name != "subgrad":
+            res.gradient_mapping_norm = gradient_mapping_norm(
+                assemble_penalized(instance, segments[-1][0]), x)
         if name == "subgrad":
             res.cert_passed = res.lower_gap <= cfg.cert_g_target_subgrad
         elif plan is not None:

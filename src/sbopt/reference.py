@@ -86,13 +86,6 @@ def min_norm_least_squares(A, b, tol: float = 1e-13,
     return x
 
 
-def _min_norm_solution(A, b):
-    """The min-norm least-squares point and its normal-equation residual
-    ||A'(A x - b)||, the certificate of G* on the least-squares route."""
-    x_hat = min_norm_least_squares(A, b)
-    return x_hat, float(np.linalg.norm(A.T @ (A @ x_hat - b)))
-
-
 def _lower_objective(instance: BilevelInstance) -> PenalizedObjective:
     """The lower level g1 + g2 alone, packaged for the accelerated engines."""
     psi = compose_prox(NonsmoothTerm.zero(), instance.g2, 1.0)
@@ -122,9 +115,10 @@ def lower_opt_value(instance: BilevelInstance, tolerance: float = 1e-12,
     g1, g2 = instance.g1, instance.g2
     if g1.tag == "least_squares" and g1.payload is not None:
         A, b = g1.payload
-        x_hat, resid = _min_norm_solution(A, b)
+        x_hat = min_norm_least_squares(A, b)
         if g2.value(x_hat) == 0.0:
             value, _ = least_squares_value_grad(A, b, x_hat)
+            resid = float(np.linalg.norm(A.T @ (A @ x_hat - b)))
             return ReferenceReport(g_star=value, f_star=None,
                                    method="min_norm_least_squares",
                                    residual_certificate=resid, x=x_hat)
@@ -161,6 +155,19 @@ def lower_opt_value(instance: BilevelInstance, tolerance: float = 1e-12,
         best_value=instance.lower_value(x), certificate=gm)
 
 
+# A point x counts as feasible for {x : A x = c} when ||A x - c|| is at
+# most this times 1 + ||c||: rounding level for a least-squares correction.
+FEASIBLE_RESIDUAL = 1e-10
+
+
+def _upper_end(inst: BilevelInstance, A, c, points) -> Optional[float]:
+    """The smallest F over the points that are feasible for {x : A x = c}
+    up to FEASIBLE_RESIDUAL, or None when none is."""
+    bound = FEASIBLE_RESIDUAL * (1.0 + float(np.linalg.norm(c)))
+    return min((inst.upper_value(p) for p in points
+                if np.linalg.norm(A @ p - c) <= bound), default=None)
+
+
 def _dual_bracket(inst: BilevelInstance):
     """The F* bracket of a penalized solution, as ``bracket(gamma, x) ->
     (lower, upper)``, when g1 is least squares and g2 zero, so the lower
@@ -170,25 +177,35 @@ def _dual_bracket(inst: BilevelInstance):
 
     Lower: the dual of min F s.t. A x = c at lambda = gamma (c - A x)/m,
     D(lambda) = lambda'c - ||soft(A'lambda, w)||^2 / (2 tau) <= F* (weak
-    duality holds for any lambda).  Upper: F at the feasible point
-    x + min_norm_least_squares(A, c - A x), or None when that point's lower
-    gap exceeds G*'s certificate."""
+    duality holds for any lambda).  Upper: ``_upper_end`` over three points
+    x + d, with d zero off a set S of coordinates and d_S =
+    min_norm_least_squares(A[:, S], c - A x), for S = every coordinate,
+    S = supp(x) and S = the m coordinates of largest |A'lambda|.  The last
+    two keep the sparse support of x (a lasso-type solution has at most m
+    nonzeros), so they add little L1 mass; a point counts only when its
+    residual is at rounding level."""
     f1, g1, w = inst.f1, inst.g1, inst.f2.l1_weight
     if (f1.tag != "squared_norm" or g1.tag != "least_squares" or w is None
             or inst.g2.l1_weight != 0.0 or not f1.payload[0] > 0.0):
         return None
     A, b = g1.payload
-    x_hat, certificate = _min_norm_solution(A, b)
-    c, tau = A @ x_hat, f1.payload[0]
+    m = A.shape[0]
+    c, tau = A @ min_norm_least_squares(A, b), f1.payload[0]
+
+    def corrected(x, r, support):
+        x_f = x.copy()
+        x_f[support] += min_norm_least_squares(A[:, support], r)
+        return x_f
 
     def bracket(gamma, x):
         r = c - A @ x
-        lam = (gamma / A.shape[0]) * r
-        u = prox_l1(A.T @ lam, w)
-        x_f = x + min_norm_least_squares(A, r)
-        feasible = inst.lower_gap(x_f) <= certificate
+        lam = (gamma / m) * r
+        v = A.T @ lam
+        u = prox_l1(v, w)
+        supports = (slice(None), np.flatnonzero(x), np.argsort(np.abs(v))[-m:])
+        points = [corrected(x, r, s) for s in supports]
         return (float(lam @ c) - float(u @ u) / (2.0 * tau),
-                inst.upper_value(x_f) if feasible else None)
+                _upper_end(inst, A, c, points))
     return bracket
 
 

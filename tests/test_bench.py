@@ -201,6 +201,36 @@ class TestRunExperiment:
         eps = sorted({float(r.split(",")[6]) for r in rows}, reverse=True)
         assert eps == [1e-6 / 10.0**k for k in range(3)]
 
+    @pytest.mark.parametrize("max_iters", [3, 50_000])
+    def test_exit_evidence_per_solver(self, tmp_path, max_iters):
+        # report.json counts the segments that ended on max_iters, so a
+        # capped mid-ladder stage shows, and gives the gradient-mapping
+        # norm at the final iterate for the last gamma (null for subgrad)
+        from sbopt.apg import gradient_mapping_norm
+        from sbopt.bench.synth import synth_lrp
+        from sbopt.model import assemble_penalized
+        cfg = build_config({**FAST, "solvers": "pb_apg,apb_apg,subgrad",
+                            "gamma0": 1.0 / 32.0, "nu": 20.0, "eta": 10.0,
+                            "epsilon0": 1e-6, "stop_epsilon": 1e-8,
+                            "max_iters": max_iters, "subgrad_max_iters": 50,
+                            "out_dir": str(tmp_path)})
+        report = run_experiment(cfg)
+        solvers = json.loads((tmp_path / "report.json").read_text())["solvers"]
+        capped = max_iters == 3
+        assert solvers["pb_apg"]["stages_on_cap"] == int(capped)
+        assert solvers["apb_apg"]["stages_on_cap"] == (3 if capped else 0)
+        if capped:
+            assert solvers["apb_apg"]["terminal_reason"] == "max_iters"
+        assert solvers["subgrad"]["stages_on_cap"] == 1
+        assert solvers["subgrad"]["gradient_mapping_norm"] is None
+        inst, _ = synth_lrp(40, 10, 7)
+        for name in ("pb_apg", "apb_apg"):
+            res = report.solvers[name]
+            objective = assemble_penalized(inst, res.segments[-1][0])
+            gm = gradient_mapping_norm(objective, res.x_final)
+            assert solvers[name]["gradient_mapping_norm"] == gm
+            assert (gm > 1e-3) if capped else (gm < 1e-4)
+
 
 class TestDeskPreset:
     def test_lrp_desk_reaches_gap_target(self, tmp_path):

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from helpers import toy_quadratic_instance
+from sbopt import reference
 from sbopt.bench.synth import synth_instance, synth_lrp, synth_lsrp
 from sbopt.model import min_norm_problem
 from sbopt.prox import prox_l1
-from sbopt.reference import (_dual_bracket, lower_opt_value,
-                             min_norm_least_squares, upper_opt_value)
+from sbopt.reference import (FEASIBLE_RESIDUAL, _dual_bracket, _upper_end,
+                             lower_opt_value, min_norm_least_squares,
+                             upper_opt_value)
 
 # F* of lsrp-bench (seed 3) from a restarted dual ascent run to a width
 # of 1e-12
@@ -79,12 +81,14 @@ class TestWeakDuality:
 
 
 class TestLsrpBenchBracket:
-    def test_seed_3_stops_after_gamma_1e4(self):
+    def test_seed_3_stops_after_gamma_1e3(self):
+        # a correction on the support of x_gamma closes the bracket at the
+        # first gamma; the dense min-norm correction alone needed 1e4
         inst = _lsrp(100, 190, 3, tau=0.02)
         up = _upper(inst)
         assert up.f_star_method == "dual_bracket"
-        assert up.method == "penalty_escalation(gamma=10000)"
-        assert (up.f_star_solves, up.f_star_iterations) == (2, 7691)
+        assert up.method == "penalty_escalation(gamma=1000)"
+        assert (up.f_star_solves, up.f_star_iterations) == (1, 2895)
         assert up.f_star == up.f_star_lower
         assert up.f_star_lower <= LSRP_BENCH_F_STAR <= up.f_star_upper
         assert up.f_star_upper - up.f_star_lower <= _width(inst)
@@ -101,6 +105,35 @@ class TestLsrpBenchBracket:
         assert (up.f_star_solves, up.f_star_iterations) == (1, 7007)
         assert up.f_star_lower <= up.f_star_upper
 
+    @pytest.mark.parametrize("seed", range(3, 13))
+    def test_support_corrections_never_cost_a_solve(self, seed, monkeypatch):
+        # record each gamma's bracket next to the upper end of the min-norm
+        # correction alone: the escalation only ever stops sooner, and no
+        # upper end falls below its lower end
+        inst = _lsrp(100, 190, seed, tau=0.02)
+        A, c, _, _ = _route(inst)
+        rows = []
+
+        def spy(instance):
+            bracket = _dual_bracket(instance)
+
+            def recorded(gamma, x):
+                lower, upper = bracket(gamma, x)
+                x_f = x + min_norm_least_squares(A, c - A @ x)
+                rows.append((lower, upper, inst.upper_value(x_f)))
+                return lower, upper
+            return recorded
+
+        monkeypatch.setattr(reference, "_dual_bracket", spy)
+        up = _upper(inst)
+        assert len(rows) == up.f_star_solves
+        for lower, upper, min_norm_upper in rows:
+            assert lower <= upper <= min_norm_upper
+        # at every gamma before the stop the min-norm bracket was too wide
+        # as well, so it would have taken at least as many solves
+        assert all(mn - lo > _width(inst) for lo, _, mn in rows[:-1])
+        assert up.f_star_lower <= up.f_star_upper
+
     def test_relaxation_rule_stops_when_the_width_is_out_of_reach(self):
         # a tiny rho shrinks the width tolerance, not the relaxation: the
         # relaxation rule stops the escalation, and the bracket stays on
@@ -112,6 +145,25 @@ class TestLsrpBenchBracket:
         assert up.achieved_lower_gap <= 1e-9
         assert up.f_star == up.f_star_lower <= up.f_star_upper
         assert up.f_star_upper - up.f_star_lower > _width(inst)
+
+
+class TestUpperEnd:
+    def test_a_point_off_the_solution_set_is_rejected(self):
+        # residual 1e-6, far above rounding level: the point's F is no
+        # bound on F*, whatever its value
+        inst = _lsrp(12, 30, 0, tau=0.3)
+        A, c, _, _ = _route(inst)
+        rng = np.random.default_rng(0)
+        z = rng.normal(size=30)
+        feasible = z + min_norm_least_squares(A, c - A @ z)
+        step = min_norm_least_squares(A, rng.normal(size=12))
+        off = feasible + 1e-6 * step / np.linalg.norm(A @ step)
+        assert np.linalg.norm(A @ off - c) == pytest.approx(1e-6, rel=1e-6)
+        assert np.linalg.norm(A @ feasible - c) <= (
+            FEASIBLE_RESIDUAL * (1.0 + np.linalg.norm(c)))
+        assert _upper_end(inst, A, c, [off]) is None
+        assert _upper_end(inst, A, c, [off, feasible]) == (
+            inst.upper_value(feasible))
 
 
 class TestMinNormProblem:
