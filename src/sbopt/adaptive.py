@@ -26,12 +26,14 @@ from .model import BilevelInstance, assemble_penalized
 from .penalty import gamma_star
 
 log = logging.getLogger(__name__)
+MAX_STAGES = 200
 
 
 @dataclass(frozen=True)
 class LadderConfig:
     """Ladder parameters: gamma multiplier nu > 1 and accuracy divisor
-    eta > 1.  For certified runs with alpha > 1 the multiplier must dominate:
+    eta > 1, with stop_epsilon reached within MAX_STAGES stages.  For
+    certified runs with alpha > 1 the multiplier must dominate:
     nu > eta^(alpha-1)."""
 
     gamma0: float
@@ -39,13 +41,21 @@ class LadderConfig:
     eta: float
     epsilon0: float
     stop_epsilon: float = 1e-10
-    max_stages: int = 200
 
     def __post_init__(self):
         if self.gamma0 <= 0 or self.epsilon0 <= 0 or self.stop_epsilon <= 0:
             raise InvalidLadder("gamma0, epsilon0 and stop_epsilon must be positive")
         if self.nu <= 1.0 or self.eta <= 1.0:
             raise InvalidLadder(f"need nu > 1 and eta > 1, got nu={self.nu}, eta={self.eta}")
+        try:
+            last = self.epsilon0 / self.eta ** (MAX_STAGES - 1)
+        except OverflowError:  # eta^(MAX_STAGES - 1) is past the float range
+            last = 0.0
+        if last > self.stop_epsilon * (1.0 + 1e-9):
+            raise InvalidLadder(
+                f"eps_k = epsilon0 / eta^k does not reach stop_epsilon="
+                f"{self.stop_epsilon:g} within {MAX_STAGES} stages "
+                f"(epsilon0={self.epsilon0:g}, eta={self.eta:g})")
 
 
 @dataclass
@@ -110,7 +120,7 @@ def _run_ladder(instance: BilevelInstance, x0, ladder: LadderConfig,
     stages = []
     radius = apg_cfg.radius_bound
     fixed_radius = radius is not None
-    for k in range(ladder.max_stages):
+    for k in range(MAX_STAGES):
         gamma_k = ladder.gamma0 * ladder.nu**k
         eps_k = ladder.epsilon0 / ladder.eta**k
         objective = assemble_penalized(instance, gamma_k)

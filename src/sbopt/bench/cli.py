@@ -1,7 +1,9 @@
 """Command-line entry point for the benchmark harness.
 
 Exit codes: 0 all certificates pass, 1 certificate failure, 2 configuration
-error, 3 solver error.
+error (unknown key, unparsable or out-of-range value, unreadable config or
+data file, malformed data file), 3 solver error or failed reference
+computation.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ..errors import ConfigError
+from ..errors import ConfigError, ParseError, SboptError
 from .run import KNOWN_PROBLEMS, KNOWN_SOLVERS, PRESETS, build_config, \
     parse_config_file, run_experiment
 
@@ -60,7 +62,14 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    report = run_experiment(cfg)
+    try:
+        report = run_experiment(cfg)
+    except (OSError, ParseError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
+    except SboptError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
     print(f"G* = {report.g_star:.12e}   "
           f"F* = {report.f_star:.12e} (relaxation {report.relaxation:g})")

@@ -8,18 +8,20 @@ Both are deterministic in the seed.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from ..model import (BilevelInstance, elastic_net_problem,
                      logistic_min_norm_problem)
-from .data import Dataset
+
+LRP_ANCHOR_SCALE = 0.5
+LRP_NOISE_SCALE = 0.5
+LRP_LABEL_NOISE = 0.05
+LSRP_FEATURE_SCALE = 12.0
+LSRP_SPARSITY = 5
+LSRP_NOISE = 0.1
 
 
-def synth_lrp(m: int, n: int, seed: int, anchor_scale: float = 0.5,
-              noise_scale: float = 0.5, label_noise: float = 0.05,
-              theta: float = 10.0) -> Tuple[BilevelInstance, Dataset]:
+def synth_lrp(m: int, n: int, seed: int, theta: float = 10.0) -> BilevelInstance:
     """Logistic instance: labels sign(a'w + noise) with the ground truth w
     concentrated on the first feature.
 
@@ -31,19 +33,16 @@ def synth_lrp(m: int, n: int, seed: int, anchor_scale: float = 0.5,
     targets.
     """
     rng = np.random.default_rng(seed)
-    A = noise_scale * rng.normal(size=(m, n)) / np.sqrt(n)
-    A[:, 0] = anchor_scale * rng.normal(size=m)
+    A = LRP_NOISE_SCALE * rng.normal(size=(m, n)) / np.sqrt(n)
+    A[:, 0] = LRP_ANCHOR_SCALE * rng.normal(size=m)
     w = np.zeros(n)
     w[0] = 1.0
-    z = A @ w + label_noise * rng.normal(size=m)
+    z = A @ w + LRP_LABEL_NOISE * rng.normal(size=m)
     b = np.where(z >= 0.0, 1.0, -1.0)
-    instance = logistic_min_norm_problem(A, b, l1_radius=theta)
-    return instance, Dataset.from_dense(A, b)
+    return logistic_min_norm_problem(A, b, l1_radius=theta)
 
 
-def synth_lsrp(m: int, n: int, seed: int, feature_scale: float = 12.0,
-               sparsity: int = 5, noise: float = 0.1,
-               tau: float = 0.02) -> Tuple[BilevelInstance, Dataset]:
+def synth_lsrp(m: int, n: int, seed: int, tau: float = 0.02) -> BilevelInstance:
     """Least-squares instance; with n > m the lower solution set is an affine
     subspace, so the upper objective genuinely selects among minimizers.
 
@@ -51,17 +50,16 @@ def synth_lsrp(m: int, n: int, seed: int, feature_scale: float = 12.0,
     solution set; 12 keeps penalized residuals below 1e-7 from gamma = 5000
     up."""
     rng = np.random.default_rng(seed)
-    A = feature_scale * rng.normal(size=(m, n))
+    A = LSRP_FEATURE_SCALE * rng.normal(size=(m, n))
     x_true = np.zeros(n)
-    support = rng.choice(n, size=min(sparsity, n), replace=False)
+    support = rng.choice(n, size=min(LSRP_SPARSITY, n), replace=False)
     x_true[support] = rng.normal(size=support.size)
-    b = A @ x_true + noise * rng.normal(size=m)
-    instance = elastic_net_problem(A, b, tau=tau)
-    return instance, Dataset.from_dense(A, b)
+    b = A @ x_true + LSRP_NOISE * rng.normal(size=m)
+    return elastic_net_problem(A, b, tau=tau)
 
 
 def synth_instance(family: str, m: int, n: int, seed: int,
-                   **kwargs) -> Tuple[BilevelInstance, Dataset]:
+                   **kwargs) -> BilevelInstance:
     if family == "lrp":
         return synth_lrp(m, n, seed, **kwargs)
     if family == "lsrp":

@@ -34,7 +34,8 @@ class InvalidStrongConvexity(SboptError):
 
 
 class InvalidLadder(SboptError):
-    """Adaptive ladder parameters violate nu > 1, eta > 1, or nu > eta**(alpha-1)."""
+    """Adaptive ladder parameters violate nu > 1, eta > 1, or nu > eta**(alpha-1),
+    or the ladder cannot reach its stop accuracy within its stage cap."""
 
 
 class UnsupportedTerm(SboptError):

@@ -377,12 +377,15 @@ def assemble_penalized(instance: BilevelInstance, gamma: float) -> PenalizedObje
 # ---------------------------------------------------------------------------
 # shipped smooth losses and their constants
 
+GRAM_TOL = 1e-12
+GRAM_MAX_SWEEPS = 10_000
 
-def lambda_max_gram(A, tol: float = 1e-12, max_iters: int = 10_000) -> float:
+
+def lambda_max_gram(A) -> float:
     """Largest eigenvalue of A'A by power iteration with a deterministic start.
 
     Returns 0 for a zero matrix.  Convergence is declared when the Rayleigh
-    quotient changes by at most tol*max(1, lambda) between sweeps.
+    quotient changes by at most GRAM_TOL*max(1, lambda) between sweeps.
     """
     A = np.asarray(A, dtype=float)
     if A.size == 0:
@@ -391,14 +394,14 @@ def lambda_max_gram(A, tol: float = 1e-12, max_iters: int = 10_000) -> float:
     v = np.ones(n) + np.arange(n) / max(n, 1)
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(max_iters):
+    for _ in range(GRAM_MAX_SWEEPS):
         w = A.T @ (A @ v)
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
         lam_new = float(v @ w)
         v = w / nw
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
+        if abs(lam_new - lam) <= GRAM_TOL * max(1.0, abs(lam_new)):
             return lam_new
         lam = lam_new
     return lam

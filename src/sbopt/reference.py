@@ -23,10 +23,14 @@ import numpy as np
 from .apg import ApgConfig, gradient_mapping_norm, pb_apg, pb_apg_sc
 from .errors import Nonconvergence, RelaxationUnreachable
 from .model import (BilevelInstance, NonsmoothTerm, PenalizedObjective,
-                    assemble_penalized, least_squares_value_grad)
+                    assemble_penalized)
 from .prox import compose_prox, prox_l1
 
 log = logging.getLogger(__name__)
+
+MIN_NORM_TOL = 1e-13
+GROWTH = 10.0
+STEP_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -48,8 +52,7 @@ class ReferenceReport:
     f_star_iterations: int = 0
 
 
-def min_norm_least_squares(A, b, tol: float = 1e-13,
-                           max_iters: Optional[int] = None) -> np.ndarray:
+def min_norm_least_squares(A, b) -> np.ndarray:
     """Minimum-Euclidean-norm minimizer of ||Ax - b||.
 
     Conjugate gradient on the normal equations A'A x = A'b started at zero;
@@ -64,13 +67,11 @@ def min_norm_least_squares(A, b, tol: float = 1e-13,
     gnorm = float(np.linalg.norm(g))
     if gnorm == 0.0:
         return x
-    if max_iters is None:
-        max_iters = 10 * n + 100
     r = g.copy()
     p = r.copy()
     rs = float(r @ r)
-    threshold = tol * (1.0 + gnorm)
-    for _ in range(max_iters):
+    threshold = MIN_NORM_TOL * (1.0 + gnorm)
+    for _ in range(10 * n + 100):
         if math.sqrt(rs) <= threshold:
             break
         Ap = A.T @ (A @ p)
@@ -117,9 +118,8 @@ def lower_opt_value(instance: BilevelInstance, tolerance: float = 1e-12,
         A, b = g1.payload
         x_hat = min_norm_least_squares(A, b)
         if g2.value(x_hat) == 0.0:
-            value, _ = least_squares_value_grad(A, b, x_hat)
             resid = float(np.linalg.norm(A.T @ (A @ x_hat - b)))
-            return ReferenceReport(g_star=value, f_star=None,
+            return ReferenceReport(g_star=g1.value(x_hat), f_star=None,
                                    method="min_norm_least_squares",
                                    residual_certificate=resid, x=x_hat)
 
@@ -211,13 +211,12 @@ def _dual_bracket(inst: BilevelInstance):
 
 def upper_opt_value(instance: BilevelInstance, g_star: float,
                     relaxation: float = 1e-10, gamma0: float = 1e3,
-                    growth: float = 10.0, gamma_cap: float = 1e12,
-                    max_iters_per_solve: int = 200_000,
-                    step_tolerance: float = 1e-12) -> ReferenceReport:
+                    gamma_cap: float = 1e12,
+                    max_iters_per_solve: int = 200_000) -> ReferenceReport:
     """Approximate F* = min F(x) subject to G(x) - G* <= relaxation.
 
     Solves the penalized problem at gamma with the gradient-restarted
-    accelerated engine, escalating gamma tenfold, and stops after the first
+    accelerated engine, escalating gamma GROWTH-fold, and stops after the first
     solve x that meets either rule:
 
     - ``relaxation``: G(x) - G* <= relaxation;
@@ -248,7 +247,7 @@ def upper_opt_value(instance: BilevelInstance, g_star: float,
     while gamma <= gamma_cap:
         objective = assemble_penalized(inst, gamma)
         cfg = ApgConfig(epsilon=1e-18, max_iters=max_iters_per_solve,
-                        step_tolerance=step_tolerance, restart=True,
+                        step_tolerance=STEP_TOLERANCE, restart=True,
                         record_every=max_iters_per_solve)
         mu = objective.strong_convexity
         if mu > 0:
@@ -281,6 +280,6 @@ def upper_opt_value(instance: BilevelInstance, g_star: float,
                 f_star_lower=lower, f_star_upper=upper,
                 f_star_method="dual_bracket" if bracketed else "relaxation",
                 f_star_solves=solves, f_star_iterations=iterations)
-        gamma *= growth
+        gamma *= GROWTH
     raise RelaxationUnreachable(
         f"residual stayed above {relaxation:g} up to gamma={gamma_cap:g}")

@@ -262,7 +262,7 @@ def test_criterion_9_desk_experiments(tmp_path):
         from sbopt.bench.synth import synth_instance
         from sbopt.reference import lower_opt_value
         family = "lrp" if preset.startswith("lrp") else "lsrp"
-        instance, _ = synth_instance(family, cfg.m, cfg.n, cfg.seed)
+        instance = synth_instance(family, cfg.m, cfg.n, cfg.seed)
         ref = lower_opt_value(instance)
         instance = instance.with_lower_opt_value(report.g_star)
         objective, domain, radius = _subgrad_baseline(instance, cfg.gamma,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import toy_quadratic_instance, toy_sharp_instance
-from sbopt.adaptive import (LadderConfig, apb_apg, apb_apg_sc,
+from sbopt.adaptive import (MAX_STAGES, LadderConfig, apb_apg, apb_apg_sc,
                             ladder_entry_index, stage_gap_bound)
 from sbopt.apg import ApgConfig, pb_apg
 from sbopt.errors import InvalidLadder
@@ -95,6 +95,22 @@ class TestLadderBookkeeping:
             LadderConfig(gamma0=1.0, nu=2.0, eta=0.5, epsilon0=1.0)
         with pytest.raises(InvalidLadder):
             LadderConfig(gamma0=-1.0, nu=2.0, eta=2.0, epsilon0=1.0)
+
+    def test_unreachable_stop_epsilon_rejected(self):
+        # 1e-6 / 1.01^k reaches 1e-10 only after about 926 stages
+        with pytest.raises(InvalidLadder):
+            LadderConfig(gamma0=1.0, nu=2.0, eta=1.01, epsilon0=1e-6,
+                         stop_epsilon=1e-10)
+        # the last stage the loop runs is k = MAX_STAGES - 1
+        last = 2.0 ** -(MAX_STAGES - 1)
+        LadderConfig(gamma0=1.0, nu=2.0, eta=2.0, epsilon0=1.0,
+                     stop_epsilon=last)
+        with pytest.raises(InvalidLadder):
+            LadderConfig(gamma0=1.0, nu=2.0, eta=2.0, epsilon0=1.0,
+                         stop_epsilon=last / 2.0)
+        # eta^(MAX_STAGES - 1) past the float range: reached at once
+        LadderConfig(gamma0=1.0, nu=2.0, eta=1e3, epsilon0=1.0,
+                     stop_epsilon=1e-10)
 
 
 class TestTheoremStageGuarantee:
@@ -191,7 +207,7 @@ class TestBenchmarkLadderShape:
         from sbopt.bench.synth import synth_lrp
         from sbopt.reference import lower_opt_value
 
-        inst, _ = synth_lrp(60, 15, seed=7)
+        inst = synth_lrp(60, 15, seed=7)
         ref = lower_opt_value(inst, tolerance=1e-12)
         inst = inst.with_lower_opt_value(ref.g_star)
         apg_cfg = ApgConfig(epsilon=1e-6, max_iters=100_000,

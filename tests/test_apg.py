@@ -123,9 +123,9 @@ class TestPbApg:
 
     def test_lsrp_synthetic_g_gap(self):
         from sbopt.bench.synth import synth_lsrp
-        inst, data = synth_lsrp(40, 10, seed=12)
-        A = data.to_dense()
-        x_hat = min_norm_least_squares(A, data.labels)
+        inst = synth_lsrp(40, 10, seed=12)
+        A, b = inst.g1.payload
+        x_hat = min_norm_least_squares(A, b)
         g_star = inst.lower_value(x_hat)
         inst = inst.with_lower_opt_value(g_star)
         obj = assemble_penalized(inst, 1e4)
@@ -272,7 +272,7 @@ class TestPbApgSc:
     def test_faster_than_plain_at_equal_epsilon(self):
         from sbopt.bench.synth import synth_lrp
         from sbopt.reference import lower_opt_value
-        inst, _ = synth_lrp(50, 20, seed=3)
+        inst = synth_lrp(50, 20, seed=3)
         ref = lower_opt_value(inst, tolerance=1e-12)
         inst = inst.with_lower_opt_value(ref.g_star)
         obj = assemble_penalized(inst, 1e4)

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from sbopt.bench import cli as cli_module
+from sbopt.bench import run as run_module
 from sbopt.bench.cli import main as cli_main
 from sbopt.bench.run import (CSV_HEADER, SUMMARY_HEADER, ExperimentConfig,
                              build_config, parse_config_file, run_experiment)
-from sbopt.errors import ConfigError
+from sbopt.errors import ConfigError, Nonconvergence
 
 FAST = {
     "problem": "lrp-synth", "m": 40, "n": 10, "seed": 7,
@@ -83,7 +84,7 @@ class TestConfigValidation:
             parse_config_file(str(path))
 
     def test_every_typed_field_parses_from_its_string(self):
-        samples = {bool: True, int: 7, float: 0.125, str: "text"}
+        samples = {bool: True, int: 7, float: 1.5, str: "text"}
         hints = typing.get_type_hints(ExperimentConfig)
         by_type = {}
         for name, hint in hints.items():
@@ -101,7 +102,7 @@ class TestConfigValidation:
         assert by_type[int] == {"m", "n", "seed", "max_iters", "record_every",
                                 "subgrad_max_iters"}
         assert by_type[str] == {"data", "out_dir"}
-        assert len(by_type[float]) == 18
+        assert len(by_type[float]) == 17
         with pytest.raises(ConfigError) as err:
             build_config({**FAST, "seed": "1.5"})
         assert "seed" in str(err.value)
@@ -139,7 +140,7 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         inst_gaps = {}
         from sbopt.bench.synth import synth_lrp
-        inst, _ = synth_lrp(40, 10, 7)
+        inst = synth_lrp(40, 10, 7)
         inst = inst.with_lower_opt_value(report.g_star)
         for name, res in report.solvers.items():
             g = inst.lower_gap(res.x_final)
@@ -223,7 +224,7 @@ class TestRunExperiment:
             assert solvers["apb_apg"]["terminal_reason"] == "max_iters"
         assert solvers["subgrad"]["stages_on_cap"] == 1
         assert solvers["subgrad"]["gradient_mapping_norm"] is None
-        inst, _ = synth_lrp(40, 10, 7)
+        inst = synth_lrp(40, 10, 7)
         for name in ("pb_apg", "apb_apg"):
             res = report.solvers[name]
             objective = assemble_penalized(inst, res.segments[-1][0])
@@ -262,6 +263,39 @@ class TestLibsvmProblem:
         report = run_experiment(cfg)
         assert report.solvers["pb_apg"].cert_passed
         assert report.solvers["pb_apg"].lower_gap <= 1e-4
+
+    def test_lsrp_from_file(self, tmp_path):
+        # 60 x 12 0/1 features at 30 % density with a nonzero in every
+        # column, so the parsed width is 12; after min-max scaling, 12
+        # collinear copies and an intercept the problem has 25 columns
+        rng = np.random.default_rng(0)
+        X = rng.random((60, 12)) < 0.3
+        for j in np.flatnonzero(~X.any(axis=0)):
+            X[j % 60, j] = True
+        y = X @ rng.normal(size=12) + 0.1 * rng.normal(size=60)
+        path = tmp_path / "toy.libsvm"
+        path.write_text("".join(
+            " ".join([f"{v:.6f}"] + [f"{j + 1}:1" for j in np.flatnonzero(row)])
+            + "\n" for v, row in zip(y, X)))
+        outputs = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            cfg = build_config({
+                "problem": "lsrp-libsvm", "data": str(path),
+                "solvers": "pb_apg", "gamma": 1e5, "step_tol": 1e-10,
+                "cert_g_target": 1e-7, "out_dir": str(out),
+                "fixed_clock": True})
+            report = run_experiment(cfg)
+            res = report.solvers["pb_apg"]
+            assert res.x_final.shape == (25,)
+            assert report.g_star_method == "min_norm_least_squares"
+            record = report.f_star_record
+            assert record["f_star_method"] == "dual_bracket"
+            assert record["f_star_lower"] <= record["f_star_upper"]
+            assert res.error is None and res.cert_passed
+            outputs.append([(out / name).read_bytes()
+                            for name in ("pb_apg.csv", "summary.csv")])
+        assert outputs[0] == outputs[1]
 
 
 class TestCli:
@@ -318,6 +352,47 @@ class TestCli:
                         "rho": 6.0, "lf": 7.0, "seed": 8, "m": 9, "n": 10,
                         "out_dir": "o", "max_iters": 11, "step_tol": 12.0,
                         "fixed_clock": True}
+
+    @pytest.mark.parametrize("key,value", [
+        ("gamma", "-1"), ("gamma", "nan"), ("m", "0"), ("seed", "-1"),
+        ("alpha", "0.5"), ("rho", "-1"), ("relaxation", "0"),
+        ("step_tol", "-1"), ("theta", "0"), ("tau", "-1"), ("eta", "1"),
+    ])
+    def test_out_of_range_value_is_a_config_error(self, tmp_path, capsys,
+                                                  key, value):
+        cfg = tmp_path / "range.cfg"
+        cfg.write_text(f"preset = lrp-desk\nm = 40\nn = 10\n{key} = {value}\n")
+        assert cli_main(["--config", str(cfg)]) == 2
+        assert f"config error: {key}: " in capsys.readouterr().err
+
+    def test_unreachable_ladder_is_a_config_error(self, tmp_path, capsys):
+        # eps_k = 1e-6 / 1.01^k needs about 926 stages to reach 1e-10
+        cfg = tmp_path / "ladder.cfg"
+        cfg.write_text("preset = lrp-bench\nm = 40\nn = 10\neta = 1.01\n")
+        assert cli_main(["--config", str(cfg)]) == 2
+        assert "config error: stop_epsilon: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [None, "1 2:1 1:1\n"],
+                             ids=["missing", "malformed"])
+    def test_bad_data_file_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "data.libsvm"
+        if text is not None:
+            path.write_text(text)
+        rc = cli_main(["--problem", "lrp-libsvm", "--data", str(path),
+                       "--solver", "pb_apg", "--gamma", "1e4"])
+        assert rc == 2
+        assert "input error: " in capsys.readouterr().err
+
+    def test_failed_reference_exits_3_without_traceback(self, monkeypatch,
+                                                        capsys):
+        def stop(instance):
+            raise Nonconvergence("reference cap reached")
+
+        monkeypatch.setattr(run_module, "lower_opt_value", stop)
+        assert cli_main(["--preset", "lrp-desk", "--m", "40", "--n", "10"]) == 3
+        err = capsys.readouterr().err
+        assert "Nonconvergence: reference cap reached" in err
+        assert "Traceback" not in err
 
     def test_help_lists_presets(self, capsys):
         with pytest.raises(SystemExit):

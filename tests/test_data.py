@@ -146,24 +146,25 @@ class TestAugmentCollinear:
 
 class TestSyntheticGenerators:
     def test_determinism(self):
-        a = synth_instance("lrp", 50, 20, 7)
-        b = synth_instance("lrp", 50, 20, 7)
-        np.testing.assert_array_equal(a[1].to_dense(), b[1].to_dense())
-        np.testing.assert_array_equal(a[1].labels, b[1].labels)
-        c = synth_instance("lsrp", 30, 40, 1)
-        d = synth_instance("lsrp", 30, 40, 1)
-        np.testing.assert_array_equal(c[1].to_dense(), d[1].to_dense())
+        a = synth_instance("lrp", 50, 20, 7).g1.payload
+        b = synth_instance("lrp", 50, 20, 7).g1.payload
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
+        c = synth_instance("lsrp", 30, 40, 1).g1.payload
+        d = synth_instance("lsrp", 30, 40, 1).g1.payload
+        np.testing.assert_array_equal(c[0], d[0])
 
     def test_lrp_constants(self):
-        inst, data = synth_lrp(50, 20, 7)
+        inst = synth_lrp(50, 20, 7)
+        A, b = inst.g1.payload
         assert inst.f1.lipschitz_grad == 1.0
         assert inst.f1.strong_convexity == 1.0
         assert inst.g2.kind == "l1_ball" and inst.g2.radius == 10.0
-        assert set(np.unique(data.labels)) <= {-1.0, 1.0}
+        assert set(np.unique(b)) <= {-1.0, 1.0}
 
     def test_lsrp_overparameterized_rank(self):
-        inst, data = synth_lsrp(40, 60, 1)
-        A = data.to_dense()
+        inst = synth_lsrp(40, 60, 1)
+        A, b = inst.g1.payload
         assert np.linalg.matrix_rank(A) <= 40
         # non-singleton solution set: a null direction exists
         _, s, Vt = np.linalg.svd(A)

@@ -20,7 +20,7 @@ LSRP_BENCH_F_STAR = 2.5970352755
 
 
 def _lsrp(m, n, seed, **kwargs):
-    inst, _ = synth_instance("lsrp", m, n, seed, **kwargs)
+    inst = synth_instance("lsrp", m, n, seed, **kwargs)
     return inst.with_lower_opt_value(lower_opt_value(inst).g_star)
 
 
@@ -193,8 +193,8 @@ class TestOffRouteBitIdentity:
 
     @pytest.mark.parametrize("make, relaxation, expected", [
         (toy_quadratic_instance, 1e-10, "0x1.fffeb0754c5ecp-2"),
-        (lambda: synth_lrp(40, 10, 6)[0], 1e-9, "0x1.9000000000000p+5"),
-        (lambda: synth_lsrp(20, 30, 1, tau=0.0)[0], 1e-9,
+        (lambda: synth_lrp(40, 10, 6), 1e-9, "0x1.9000000000000p+5"),
+        (lambda: synth_lsrp(20, 30, 1, tau=0.0), 1e-9,
          "0x1.08efe3ee55f63p+2"),
         (_ball_instance, 1e-9, "0x1.fa748447ddaf8p-5"),
     ], ids=["toy", "synth_lrp", "tau_0", "l1_ball"])

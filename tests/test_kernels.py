@@ -176,7 +176,7 @@ class TestSubgradientLoopIterates:
 
     @pytest.fixture(scope="class")
     def setup(self):
-        instance, _ = synth_lrp(60, 15, 3)
+        instance = synth_lrp(60, 15, 3)
         ref = lower_opt_value(instance)
         instance = instance.with_lower_opt_value(ref.g_star)
         return instance, ref.x

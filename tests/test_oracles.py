@@ -34,8 +34,8 @@ def _plain(term: SmoothTerm) -> SmoothTerm:
 
 
 def _instances():
-    lsrp, _ = synth_lsrp(30, 45, 2)
-    lrp, _ = synth_lrp(40, 12, 4)
+    lsrp = synth_lsrp(30, 45, 2)
+    lrp = synth_lrp(40, 12, 4)
     return [("lsrp", lsrp.with_lower_opt_value(0.0)),
             ("lrp", lrp.with_lower_opt_value(0.5))]
 
@@ -157,7 +157,7 @@ class TestEnginesTakeTheSameIterates:
 class TestSubgradientBaselineOracleCalls:
     @pytest.mark.parametrize("record_every", [1, 1000])
     def test_one_loss_evaluation_per_iteration(self, record_every):
-        instance, _ = synth_lrp(40, 12, 4)
+        instance = synth_lrp(40, 12, 4)
         counts = {"value": 0, "grad": 0, "value_grad": 0}
 
         def counted(name, oracle):

@@ -58,13 +58,13 @@ class TestMinNormLeastSquares:
 class TestLowerOptValue:
     def test_consistent_system_gives_zero(self):
         rng = np.random.default_rng(4)
-        inst, data = synth_lsrp(20, 40, seed=4)  # n > m: b in range(A)
+        inst = synth_lsrp(20, 40, seed=4)  # n > m: b in range(A)
         report = lower_opt_value(inst)
         assert report.method == "min_norm_least_squares"
         assert abs(report.g_star) <= 1e-12
 
     def test_min_norm_and_long_run_agree(self):
-        inst, data = synth_lsrp(40, 60, seed=1)
+        inst = synth_lsrp(40, 60, seed=1)
         report = lower_opt_value(inst)
         # independent route: accelerated run on the lower level alone
         import dataclasses
@@ -82,7 +82,7 @@ class TestLowerOptValue:
         assert abs(report.g_star - long_run_value) <= 1e-10 * (1 + abs(report.g_star))
 
     def test_logistic_route_certificate(self):
-        inst, _ = synth_lrp(30, 8, seed=5)
+        inst = synth_lrp(30, 8, seed=5)
         report = lower_opt_value(inst, tolerance=1e-12)
         assert report.method == "accelerated_restart"
         assert report.residual_certificate <= 1e-12
@@ -91,7 +91,7 @@ class TestLowerOptValue:
     def test_logistic_route_stops_at_first_certified_checkpoint(self):
         from sbopt.apg import ApgConfig, pb_apg
         from sbopt.reference import _lower_objective
-        inst, _ = synth_lrp(30, 8, seed=5)
+        inst = synth_lrp(30, 8, seed=5)
         report = lower_opt_value(inst)
         assert report.method == "accelerated_restart"
         assert report.iterations <= 400
@@ -176,7 +176,7 @@ class TestUpperOptValue:
     def test_never_beats_solver_output(self):
         from sbopt.apg import ApgConfig, pb_apg_sc
         from sbopt.model import assemble_penalized
-        inst, _ = synth_lrp(40, 10, seed=6)
+        inst = synth_lrp(40, 10, seed=6)
         ref = lower_opt_value(inst)
         inst2 = inst.with_lower_opt_value(ref.g_star)
         up = upper_opt_value(inst2, ref.g_star, relaxation=1e-9)
@@ -198,7 +198,7 @@ class TestUpperOptValue:
         # on the lsrp-bench instance every 500-iteration solve stops on its
         # cap; F at such a point (3.489 at gamma 1e5, against a true 2.597)
         # certifies nothing and must not come back as F*
-        inst, _ = synth_instance("lsrp", 100, 190, 3, tau=0.02)
+        inst = synth_instance("lsrp", 100, 190, 3, tau=0.02)
         ref = lower_opt_value(inst)
         with pytest.raises(Nonconvergence) as err:
             upper_opt_value(inst, ref.g_star, relaxation=1e-9,

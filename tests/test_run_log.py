@@ -40,7 +40,7 @@ def test_silent_by_default():
 
 def test_g_star_checkpoints(caplog):
     caplog.set_level(logging.DEBUG, logger="sbopt")
-    report = lower_opt_value(synth_lrp(30, 8, seed=5)[0])
+    report = lower_opt_value(synth_lrp(30, 8, seed=5))
     checkpoints = [m for m in _messages(caplog, logging.DEBUG)
                    if m.startswith("G* checkpoint")]
     assert checkpoints
@@ -49,7 +49,7 @@ def test_g_star_checkpoints(caplog):
 
 def test_f_star_gammas(caplog):
     caplog.set_level(logging.DEBUG, logger="sbopt")
-    inst, _ = synth_instance("lsrp", 20, 40, 2, tau=0.5)
+    inst = synth_instance("lsrp", 20, 40, 2, tau=0.5)
     g_star = lower_opt_value(inst).g_star
     up = upper_opt_value(inst, g_star, relaxation=1e-9)
     gammas = [m for m in _messages(caplog, logging.DEBUG)

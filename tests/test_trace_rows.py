@@ -185,7 +185,7 @@ class TestSubgradientBaselineDomain:
 
     @pytest.mark.parametrize("make", [synth_lrp, synth_lsrp])
     def test_lower_bound_comes_from_the_term(self, make):
-        inst, _ = make(30, 12, 2)
+        inst = make(30, 12, 2)
         x_ref = np.full(inst.dim, 0.1)
         objective, domain, _ = _subgrad_baseline(inst, 4.0, x_ref)
         g_all = objective.psi.g2
@@ -241,7 +241,7 @@ class TestBoundedTraceRows:
 
     def test_subgradient_solver(self, monkeypatch):
         from sbopt.subgrad import Diminishing, SubgradConfig, subgrad_solve
-        inst, _ = synth_lrp(30, 6, 2)
+        inst = synth_lrp(30, 6, 2)
         inst = inst.with_lower_opt_value(0.5)
         obj, domain, radius = _subgrad_baseline(inst, 10.0, np.zeros(6))
         cfg = SubgradConfig(schedule=Diminishing(radius), max_iters=203,
