@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -76,7 +77,14 @@ class SolverTrace:
     call, with NaN F and G gaps when the objective has no instance link.
     ``phi_best`` is populated by the subgradient solver only.  ``restarts``
     counts the momentum resets of a restarted accelerated run.  The solvers
-    record iteration k when k % ``every`` == 0 (see TRACE_ROW_LIMIT).
+    record iteration k when k % ``every`` == 0 (see TRACE_ROW_LIMIT);
+    ``rows_recorded`` counts every row recorded, dropped ones included.
+
+    ``oracle_calls`` is filled when the run ends, from its iteration count,
+    warm-up steps and rows recorded: the objective-level ``gradient``
+    (grad_step, or a penalized subgradient), ``prox`` (prox_step), ``value``
+    (one objective evaluation, or one trace row) and ``projection``
+    (Domain.project) calls that the solver made.
     """
 
     ks: list = field(default_factory=list)
@@ -91,6 +99,8 @@ class SolverTrace:
     total_iterations: int = 0
     restarts: int = 0
     every: int = 1
+    rows_recorded: int = 0
+    oracle_calls: dict = field(default_factory=dict)
 
     def record(self, objective, k, x, step_norm, t0, best=None, value=None):
         # Stamped before the evaluations below, so a row's timestamp does
@@ -102,6 +112,7 @@ class SolverTrace:
                            self.phi_best):
                 del column[1::2]
             self.every *= 2
+        self.rows_recorded += 1
         self.elapsed.append(stamp)
         self.ks.append(k)
         phi, f, g_gap = objective.row(x, value)
@@ -194,41 +205,62 @@ def _accelerate(objective: PenalizedObjective, x: np.ndarray, budget: int,
     t_k (1/t_{k-1} - 1) with t_{-1} = t_0 = 1 and t_{k+1} = next_theta(t_k).
     With ``config.restart`` the momentum is reset whenever the composite
     gradient restart test (y_k - x_{k+1}) . (x_{k+1} - x_k) > 0 holds.
+
+    The run allocates its arrays once: x_{k-1}, x_k and x_{k+1} rotate
+    through three of them, and y_k, the prox input and the step go into
+    three more, which grad_step and prox_step fill through ``out``.  A
+    restart copies x_k into x_{k-1}.  Each array is computed by the
+    NumPy operations of  y = x + c (x - x_prev),
+    x_next = prox_step(y - grad_step(y)),  in that order, so the iterates
+    keep every bit of that form.  The returned x is never written again.
     """
     cap = budget if config.max_iters is None else min(budget, config.max_iters)
     reason = "max_iters" if cap < budget else "budget_reached"
-    x = x_prev = x.copy()
-    th_prev = th = 1.0
-    trace.record(objective, 0, x, 0.0, t0)
-    if config.keep_iterates:
+    x_prev, x, x_next = x.copy(), x.copy(), np.empty_like(x)
+    y, v, d = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    grad_step, prox_step = objective.grad_step, objective.prox_step
+    record, keep = trace.record, config.keep_iterates
+    restart, tol = config.restart, config.step_tolerance
+    # Momentum by j, the iterations since the last (re)start: each restart
+    # begins again at t_{-1} = t_0 = 1, so each coefficient is computed once
+    # and kept, 8 bytes each; (th_prev, th) is (t_{j-1}, t_j) at j = len.
+    coeffs, th_prev, th, j = array("d"), 1.0, 1.0, 0
+    record(objective, 0, x, 0.0, t0)
+    if keep:
         trace.iterates.append(x.copy())
     for k in range(cap):
-        coeff = beta if beta is not None else th * (1.0 / th_prev - 1.0)
-        y = x + coeff * (x - x_prev)
-        x_next = objective.prox_step(y - objective.grad_step(y))
-        d = x_next - x
-        step_norm = _step_norm(d, x_next, trace)
-        if beta is None:
+        if beta is None and j == len(coeffs):
+            coeffs.append(th * (1.0 / th_prev - 1.0))
             th_prev, th = th, next_theta(th)
-        x_prev, x = x, x_next
-        if config.keep_iterates:
+        coeff = coeffs[j] if beta is None else beta
+        j += 1
+        np.subtract(x, x_prev, y)
+        y *= coeff
+        y += x
+        np.subtract(y, grad_step(y, v), v)
+        prox_step(v, x_next)
+        step_norm = _step_norm(np.subtract(x_next, x, d), x_next, trace)
+        x_prev, x, x_next = x, x_next, x_prev
+        if keep:
             trace.iterates.append(x.copy())
         # y - x_{k+1} is the prox-gradient step taken at y, so a positive
         # product means the momentum carried the iterate uphill.
-        if config.restart and (y - x).dot(d) > 0.0:
-            th_prev, th = 1.0, 1.0
-            x_prev = x
+        if restart and np.subtract(y, x, v).dot(d) > 0.0:
+            j = 0
+            np.copyto(x_prev, x)
             trace.restarts += 1
-        done = (k + 1 == cap) or (config.step_tolerance > 0.0
-                                  and step_norm <= config.step_tolerance)
+        done = (k + 1 == cap) or (tol > 0.0 and step_norm <= tol)
         if (k + 1) % trace.every == 0 or done:
-            trace.record(objective, k + 1, x, step_norm, t0)
+            record(objective, k + 1, x, step_norm, t0)
         if done:
             if k + 1 < cap:
                 reason = "step_tolerance"
             trace.total_iterations = k + 1
             break
     trace.terminal_reason = reason
+    trace.oracle_calls = {"gradient": trace.total_iterations,
+                          "prox": trace.total_iterations,
+                          "value": trace.rows_recorded, "projection": 0}
     return x, trace
 
 
@@ -295,7 +327,10 @@ def pb_apg_sc(objective: PenalizedObjective, mu: float, x_init: np.ndarray,
     y_tilde = x_init - objective.grad_step(x_init)
     x = objective.prox_step(y_tilde - objective.grad_step(y_tilde))
     _check_finite(x, trace)
-    return _accelerate(objective, x, budget, beta, config, trace, t0)
+    x, trace = _accelerate(objective, x, budget, beta, config, trace, t0)
+    trace.oracle_calls["gradient"] += 2
+    trace.oracle_calls["prox"] += 1
+    return x, trace
 
 
 def gradient_mapping_norm(objective: PenalizedObjective, x: np.ndarray) -> float:

@@ -8,6 +8,8 @@ sparse row-major.
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
@@ -58,13 +60,16 @@ def parse_libsvm(lines: Iterable[str], n_features: Optional[int] = None,
     ``n_features`` overrides the inferred column count (the maximum feature
     index seen); an index beyond the override is an error.  With
     ``coerce_binary_labels`` labels in {0, 1, -1, +1} map onto {-1, +1}.
-    Raises ParseError with the 1-based line number on any malformed token.
+    Raises ParseError with the 1-based line number on any malformed token,
+    and on a label or value that is not finite (nan, inf, or a literal past
+    the float range such as 1e400).
     """
     if isinstance(lines, str):
         lines = lines.splitlines()
     rows: List[Tuple[np.ndarray, np.ndarray]] = []
     labels: List[float] = []
     max_index = 0
+    isfinite = math.isfinite
     for line_no, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -74,6 +79,8 @@ def parse_libsvm(lines: Iterable[str], n_features: Optional[int] = None,
             label = float(tokens[0])
         except ValueError:
             raise ParseError(f"non-numeric label {tokens[0]!r}", line=line_no)
+        if not isfinite(label):
+            raise ParseError(f"label {tokens[0]!r} is not finite", line=line_no)
         if coerce_binary_labels:
             label = _coerce_label(label, line_no)
         idxs: List[int] = []
@@ -88,6 +95,9 @@ def parse_libsvm(lines: Iterable[str], n_features: Optional[int] = None,
                 val = float(part[1])
             except ValueError:
                 raise ParseError(f"non-numeric feature token {tok!r}", line=line_no)
+            if not isfinite(val):
+                raise ParseError(f"feature value {tok!r} is not finite",
+                                 line=line_no)
             if idx < 1:
                 raise ParseError(f"feature index {idx} is not 1-based", line=line_no)
             if idx <= prev:
@@ -111,9 +121,14 @@ def parse_libsvm(lines: Iterable[str], n_features: Optional[int] = None,
 
 def parse_libsvm_path(path, n_features: Optional[int] = None,
                       coerce_binary_labels: bool = False) -> Dataset:
+    """``parse_libsvm`` on a file, which must hold at least one data row: a
+    file that is empty, or only blank and comment lines, raises ParseError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_libsvm(fh, n_features=n_features,
+        data = parse_libsvm(fh, n_features=n_features,
                             coerce_binary_labels=coerce_binary_labels)
+    if data.n_rows == 0:
+        raise ParseError(f"{os.path.basename(path)} has no data rows")
+    return data
 
 
 def minmax_scale(data: Dataset) -> Dataset:

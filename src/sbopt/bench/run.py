@@ -43,6 +43,10 @@ SUMMARY_HEADER = ("method,total_iterations,lower_level_value,lower_level_gap,"
 F_STAR_KEYS = ("f_star_lower", "f_star_upper", "f_star_method",
                "f_star_solves", "f_star_iterations")
 
+# The solver-level oracle calls each solver's report.json entry counts
+# (see SolverTrace.oracle_calls), summed over its ladder stages
+ORACLE_CALL_KEYS = ("gradient", "prox", "value", "projection")
+
 KNOWN_SOLVERS = ("pb_apg", "apb_apg", "pb_apg_sc", "apb_apg_sc", "subgrad")
 KNOWN_PROBLEMS = ("lrp-synth", "lsrp-synth", "lrp-libsvm", "lsrp-libsvm")
 
@@ -469,6 +473,9 @@ def _report_json(report: RunReport, fixed_clock: bool) -> str:
                 "stages_on_cap": sum(t.terminal_reason == "max_iters"
                                      for _, _, t in res.segments),
                 "gradient_mapping_norm": res.gradient_mapping_norm,
+                "oracle_calls": {key: sum(t.oracle_calls[key]
+                                          for _, _, t in res.segments)
+                                 for key in ORACLE_CALL_KEYS},
             } for name, res in report.solvers.items()
         },
         "wall_total": 0.0 if fixed_clock else report.wall_total,

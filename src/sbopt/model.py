@@ -6,8 +6,11 @@ prox-friendly nonsmooth terms.  ``assemble_penalized`` folds them into the
 single-level objective  phi_gamma + psi_gamma  with
 phi_gamma = f1 + gamma*g1  and  psi_gamma = f2 + gamma*g2.
 
-All oracles are pure functions of their input vector; instances and
-objectives are immutable after construction and safe to share across threads.
+Every oracle is a function of its input vector alone.  A gradient, prox or
+projection given an ``out`` array, which belongs to the caller, writes its
+result there and changes nothing else.  Instances and objectives are
+immutable after construction, hold no buffers, and are safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -50,8 +53,17 @@ class SmoothTerm:
     def value(self, x: np.ndarray) -> float:
         return float(self.value_oracle(x))
 
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        return self.gradient_oracle(x)
+    def grad(self, x: np.ndarray, out=None) -> np.ndarray:
+        """The gradient at x; with ``out``, written into it and returned.
+        Only an oracle marked by ``_fills_out`` is passed out; any other,
+        such as a wrapper put in its place, runs on x alone and its result
+        is copied in."""
+        oracle = self.gradient_oracle
+        if out is None:
+            return oracle(x)
+        if getattr(oracle, "fills_out", False):
+            return oracle(x, out)
+        return _prox.copy_into(oracle(x), out)
 
     def value_grad(self, x: np.ndarray):
         """Value and gradient at one point, from one fused oracle call when
@@ -153,20 +165,23 @@ class NonsmoothTerm:
         return float(self.value_oracle(x)) if self.kind == "custom" else 0.0
 
     def prox(self, c: float):
-        """Exact prox of c*term as a function of (y, t), or None if it has none."""
+        """Exact prox of c*term as a function of (y, t, out=None), or None if
+        it has none (see ``ProxSpec``).  A custom prox oracle takes (y, t)
+        alone; its result is copied into out."""
         if self.kind == "zero":
-            return lambda y, t: np.asarray(y, dtype=float).copy()
+            return lambda y, t, out=None: _prox.copy_into(y, out)
         if self.kind == "l1":
             w = c * self.weight
-            return lambda y, t: _prox.prox_l1(y, t * w)
+            return lambda y, t, out=None: _prox.prox_l1(y, t * w, out)
         if self.kind == "l1_ball":
             r = self.radius
-            return lambda y, t: _prox.project_l1_ball(y, r)
+            return lambda y, t, out=None: _prox.project_l1_ball(y, r, out)
         if self.kind == "box":
             lo, hi = self.lo, self.hi
-            return lambda y, t: _prox.project_box(y, lo, hi)
+            return lambda y, t, out=None: _prox.project_box(y, lo, hi, out)
         oracle = self.prox_oracle
-        return None if oracle is None else lambda y, t: oracle(y, t * c)
+        return None if oracle is None else (
+            lambda y, t, out=None: _prox.copy_into(oracle(y, t * c), out))
 
     def subgradient(self, x: np.ndarray) -> np.ndarray:
         """weight*sign(x) for the L1 norm, or the custom oracle's; indicators
@@ -332,13 +347,17 @@ class PenalizedObjective:
     # Solver-facing steps.  Both are computed from the unscaled parts so that
     # the scale factor cancels exactly: grad(c*phi)/(c*L) == grad(phi)/L and
     # prox of (c*psi)/(c*L) == prox of psi/L.
-    def grad_step(self, y: np.ndarray) -> np.ndarray:
+    # With ``out`` (a solver run's buffer) each writes its result there.
+    def grad_step(self, y: np.ndarray, out=None) -> np.ndarray:
         """Gradient step component  grad(phi_gamma)(y) / L_gamma."""
-        return self.phi.grad(y) / self.phi.lipschitz_grad
+        phi = self.phi
+        g = phi.grad(y, np.empty(np.shape(y)) if out is None else out)
+        g /= phi.lipschitz_grad
+        return g
 
-    def prox_step(self, v: np.ndarray) -> np.ndarray:
+    def prox_step(self, v: np.ndarray, out=None) -> np.ndarray:
         """Scaled prox  prox_{psi_gamma / L_gamma}(v)."""
-        return self.psi.prox(v, 1.0 / self.phi.lipschitz_grad)
+        return self.psi.prox(v, 1.0 / self.phi.lipschitz_grad, out)
 
     def scaled(self, c: float) -> "PenalizedObjective":
         """A view of c times this objective (step constant becomes c*L_gamma)."""
@@ -348,12 +367,31 @@ class PenalizedObjective:
         return dataclasses.replace(self, scale=c * self.scale, subgrad_lipschitz=sub)
 
 
+def _fills_out(oracle):
+    """Mark a gradient oracle that takes (x, out=None) and, given out, writes
+    the gradient there."""
+    oracle.fills_out = True
+    return oracle
+
+
 def _combine_smooth(f1: SmoothTerm, g1: SmoothTerm, gamma: float) -> SmoothTerm:
+    # The terms are frozen, so their oracles are looked up once, here, and
+    # so is SmoothTerm.grad's choice for out: g1's oracle itself, or g1.grad,
+    # which copies into out
+    upper_grad, oracle = f1.gradient_oracle, g1.gradient_oracle
+    lower_into = oracle if getattr(oracle, "fills_out", False) else g1.grad
+
     def value(x):
         return f1.value(x) + gamma * g1.value(x)
 
-    def grad(x):
-        return f1.grad(x) + gamma * g1.grad(x)
+    @_fills_out
+    def grad(x, out=None):
+        # f1.grad(x) + gamma * g1.grad(x), each rounding as in that form
+        upper = upper_grad(x)
+        g = lower_into(x, np.empty(np.shape(x)) if out is None else out)
+        g *= gamma
+        g += upper
+        return g
 
     return SmoothTerm(value, grad,
                       f1.lipschitz_grad + gamma * g1.lipschitz_grad,
@@ -424,42 +462,50 @@ def lipschitz_least_squares(A) -> float:
 # Each loss is three functions, and each formula exists once: ``parts``
 # computes what value and gradient share, ``value`` and ``grad`` finish
 # from it.  The public *_value_grad functions and the oracles of the shipped
-# terms are all built from these.
+# terms are all built from these.  ``mv(M, v, out)`` is the matrix-vector
+# product: np.matmul, or ndarray.dot where _loss_term finds it gives the
+# same bits.
 
-def _logistic_parts(A, b, x):
+def _logistic_parts(A, b, x, mv=np.matmul):
     """Margins t = b * (A x) and z = exp(-|t|), one new array each."""
-    t = A @ x
+    t = mv(A, x)
     t *= b
     z = np.abs(t)
-    return t, np.exp(np.negative(z, out=z), out=z)
+    return t, np.exp(np.negative(z, z), z)
 
 
 def _logistic_value(t, z) -> float:
     # softplus(-t) = log1p(exp(-|t|)) - min(t, 0), which cannot overflow;
-    # the mean is np.mean's own sum-then-divide, without its dispatch cost
+    # the mean is np.mean's own pairwise sum-then-divide, without its wrappers
     losses = np.log1p(z)
     losses -= np.minimum(t, 0.0)
-    return float(losses.sum()) / losses.shape[0]
+    return float(np.add.reduce(losses)) / losses.shape[0]
 
 
-def _logistic_grad(A, b, t, z):
+def _logistic_grad(A, b, t, z, out=None, mv=np.matmul):
     # sigma(-t) = z / (1 + z) for t >= 0 and 1 / (1 + z) below, as one division
     s = np.where(t >= 0, z, 1.0)
     s /= z + 1.0
     s *= b
-    return (A.T @ s) / -A.shape[0]
+    g = mv(A.T, s, out)
+    g /= -float(A.shape[0])  # as the int divides, with less scalar handling
+    return g
 
 
-def _least_squares_parts(A, b, x):
-    return (A @ x - b,)
+def _least_squares_parts(A, b, x, mv=np.matmul):
+    r = mv(A, x)
+    r -= b
+    return (r,)
 
 
 def _least_squares_value(r) -> float:
     return float(r @ r) / (2.0 * r.shape[0])
 
 
-def _least_squares_grad(A, b, r):
-    return (A.T @ r) / A.shape[0]
+def _least_squares_grad(A, b, r, out=None, mv=np.matmul):
+    g = mv(A.T, r, out)
+    g /= float(A.shape[0])  # as the int divides, with less scalar handling
+    return g
 
 
 _LOGISTIC = (_logistic_parts, _logistic_value, _logistic_grad)
@@ -511,20 +557,33 @@ def _loss_term(loss, A, b, lipschitz, tag) -> SmoothTerm:
         raise DimensionMismatch(f"A is {A.shape}, b is {b.shape}")
     shape = (A.shape[1],)
     parts, value, grad = loss
+    # When both sides of A exceed 1, ndarray.dot calls the same BLAS gemv as
+    # matmul, at less cost per call; with a side of 1 it takes scalar or
+    # dot-product routes, whose rounding and signed zeros can differ.
+    mv = np.ndarray.dot if min(A.shape) > 1 else np.matmul
 
-    def parts_at(x):
+    def checked(x):
         if type(x) is not np.ndarray:
             x = np.asarray(x, dtype=float)
         if x.shape != shape:
             raise DimensionMismatch(f"x is {x.shape}, expected {shape}")
-        return parts(A, b, x)
+        return x
+
+    def parts_at(x):
+        return parts(A, b, checked(x), mv)
+
+    @_fills_out
+    def grad_at(x, out=None):
+        # checked(x) on the solvers' path only when it can change x or raise
+        if type(x) is not np.ndarray or x.shape != shape:
+            x = checked(x)
+        return grad(A, b, *parts(A, b, x, mv), out, mv)
 
     def value_grad(x):
         p = parts_at(x)
-        return value(*p), grad(A, b, *p)
+        return value(*p), grad(A, b, *p, None, mv)
 
-    return SmoothTerm(lambda x: value(*parts_at(x)),
-                      lambda x: grad(A, b, *parts_at(x)),
+    return SmoothTerm(lambda x: value(*parts_at(x)), grad_at,
                       lipschitz(A), 0.0, tag=tag, payload=(A, b),
                       value_grad_oracle=value_grad)
 
@@ -543,9 +602,12 @@ def least_squares_smooth_term(A, b) -> SmoothTerm:
 
 def squared_norm_term(weight: float = 1.0) -> SmoothTerm:
     """(weight/2) ||x||^2, which is weight-strongly convex and weight-smooth."""
-    return SmoothTerm(lambda x: 0.5 * weight * float(x @ x),
-                      lambda x: weight * x, weight, weight,
-                      tag="squared_norm", payload=(weight,))
+    @_fills_out
+    def grad(x, out=None):
+        return np.multiply(weight, x, out)
+
+    return SmoothTerm(lambda x: 0.5 * weight * float(x @ x), grad, weight,
+                      weight, tag="squared_norm", payload=(weight,))
 
 
 # ---------------------------------------------------------------------------

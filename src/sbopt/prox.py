@@ -18,13 +18,29 @@ import numpy as np
 from .errors import NonComposableProx
 
 
-def prox_l1(y: np.ndarray, lam: float) -> np.ndarray:
-    """Soft threshold: componentwise sign(y) * max(|y| - lam, 0)."""
-    return np.sign(y) * np.maximum(np.abs(y) - lam, 0.0)
+def copy_into(y, out=None) -> np.ndarray:
+    """y as a new float array, or copied into ``out`` (returned) when given."""
+    if out is None:
+        return np.array(y, dtype=float)
+    np.copyto(out, y)
+    return out
 
 
-def project_l1_ball(y: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection onto {x : ||x||_1 <= radius}.
+def prox_l1(y: np.ndarray, lam: float, out=None) -> np.ndarray:
+    """Soft threshold: componentwise sign(y) * max(|y| - lam, 0), written
+    into ``out`` when given."""
+    mag = np.abs(y)
+    mag -= lam
+    np.maximum(mag, 0.0, out=mag)
+    # sign(y) times the magnitude, not copysign: the two differ at y = -0.0
+    out = np.sign(y, out)
+    out *= mag
+    return out
+
+
+def project_l1_ball(y: np.ndarray, radius: float, out=None) -> np.ndarray:
+    """Euclidean projection onto {x : ||x||_1 <= radius}, written into
+    ``out`` when given, which must not overlap y.
 
     Sort-based exact method (Duchi et al., ICML 2008): the threshold comes
     from the last index k of the sorted magnitudes u with
@@ -37,17 +53,21 @@ def project_l1_ball(y: np.ndarray, radius: float) -> np.ndarray:
     max(p - delta, 0), and only the support counts in delta.
     """
     y = np.asarray(y, dtype=float)
-    a = np.abs(y)
-    if float(a.sum()) <= radius:
-        return y.copy()
-    u = np.sort(a)[::-1]
+    p = np.abs(y, out)
+    # np.add.reduce is the pairwise sum p.sum() runs, without its wrapper
+    if float(np.add.reduce(p)) <= radius:
+        np.copyto(p, y)
+        return p
+    u = p.copy()
+    u.sort()
+    u = u[::-1]
     css = u.cumsum()
     above = u * np.arange(1, u.size + 1) > css - radius
     k = u.size - 1 - int(above[::-1].argmax())
-    a -= (css[k] - radius) / (k + 1)
-    p = np.maximum(a, 0.0, out=a)
+    p -= (css[k] - radius) / (k + 1)
+    np.maximum(p, 0.0, out=p)
     for _ in range(5):
-        excess = float(p.sum()) - radius
+        excess = float(np.add.reduce(p)) - radius
         if excess <= 0.0:
             break
         p -= excess / np.count_nonzero(p)
@@ -56,24 +76,25 @@ def project_l1_ball(y: np.ndarray, radius: float) -> np.ndarray:
     return p
 
 
-def project_box(y: np.ndarray, lo, hi) -> np.ndarray:
-    return np.clip(y, lo, hi)
+def project_box(y: np.ndarray, lo, hi, out=None) -> np.ndarray:
+    return np.clip(y, lo, hi, out=out)
 
 
 @dataclass(frozen=True)
 class ProxSpec:
     """A describable nonsmooth term  psi = f2 + gamma*g2  with its exact prox.
 
-    ``prox(y, t)`` solves  argmin_x psi(x) + ||x - y||^2 / (2t)  in closed
-    form.  ``prox`` is None for subgradient-mode pairs that have no supported
-    combined prox.  ``evaluate`` is extended-real: indicator parts contribute
-    +inf outside their sets and the infinity never enters further arithmetic.
+    ``prox(y, t, out=None)`` solves  argmin_x psi(x) + ||x - y||^2 / (2t)
+    in closed form, into ``out`` when given.  ``prox`` is None for
+    subgradient-mode pairs that have no supported combined prox.
+    ``evaluate`` is extended-real: indicator parts contribute +inf outside
+    their sets and the infinity never enters further arithmetic.
     """
 
     f2: object
     g2: object
     gamma: float
-    prox: Optional[Callable[[np.ndarray, float], np.ndarray]]
+    prox: Optional[Callable[..., np.ndarray]]
 
     def evaluate(self, x: np.ndarray) -> float:
         return penalized_sum(self.f2.value(x), self.g2.value(x), self.gamma)
@@ -102,22 +123,24 @@ def compose_prox(f2, g2, gamma: float) -> ProxSpec:
         prox = f2.prox(1.0)
     elif kinds == ("l1", "l1"):
         w = f2.weight + gamma * g2.weight
-        prox = lambda y, t: prox_l1(y, t * w)
+        prox = lambda y, t, out=None: prox_l1(y, t * w, out)
     elif kinds == ("l1", "box"):
         w, lo, hi = f2.weight, g2.lo, g2.hi
-        prox = lambda y, t: project_box(prox_l1(y, t * w), lo, hi)
+        prox = lambda y, t, out=None: project_box(
+            prox_l1(y, t * w, out), lo, hi, out)
     elif kinds == ("box", "l1"):
         w, lo, hi = gamma * g2.weight, f2.lo, f2.hi
-        prox = lambda y, t: project_box(prox_l1(y, t * w), lo, hi)
+        prox = lambda y, t, out=None: project_box(
+            prox_l1(y, t * w, out), lo, hi, out)
     elif kinds == ("box", "box"):
         lo = np.maximum(f2.lo, g2.lo)
         hi = np.minimum(f2.hi, g2.hi)
         if np.any(lo > hi):
             raise NonComposableProx("box intersection is empty")
-        prox = lambda y, t: project_box(y, lo, hi)
+        prox = lambda y, t, out=None: project_box(y, lo, hi, out)
     elif kinds == ("l1_ball", "l1_ball"):
         r = min(f2.radius, g2.radius)
-        prox = lambda y, t: project_l1_ball(y, r)
+        prox = lambda y, t, out=None: project_l1_ball(y, r, out)
 
     if prox is None:
         raise NonComposableProx(f"no exact combined prox for pair {kinds}")

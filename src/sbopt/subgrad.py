@@ -54,8 +54,10 @@ class Domain:
     def bounded(self) -> bool:
         return math.isfinite(self.term.norm_bound)
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        return self._project(x, 1.0)
+    def project(self, x: np.ndarray, out=None) -> np.ndarray:
+        """Projection of x, into ``out`` when given, which must not overlap
+        x."""
+        return self._project(x, 1.0, out)
 
     def contains(self, x: np.ndarray) -> bool:
         return self.term.value(x) == 0.0
@@ -160,46 +162,59 @@ def subgrad_solve(objective: PenalizedObjective, x0: np.ndarray,
     f2, g2, gamma = objective.psi.f2, objective.psi.g2, objective.psi.gamma
     scale, phi = objective.scale, objective.phi
 
-    def value_and_subgrad(x):
-        # objective.value(x) and the penalized subgradient at x, with each
-        # term evaluated once and the same arithmetic as the separate calls
+    def value_and_subgrad(x, out):
+        # objective.value(x), and the penalized subgradient at x written into
+        # out, with each term evaluated once and the same arithmetic as the
+        # separate calls: scale * (s_f + gamma * s_g)
         v_f, s_f = _value_and_subgradient(f2, x)
         v_g, s_g = _value_and_subgradient(g2, x)
-        psi = penalized_sum(v_f, v_g, gamma)
-        return scale * (phi.value(x) + psi), scale * (s_f + gamma * s_g)
+        np.multiply(gamma, s_g, out)
+        out += s_f
+        out *= scale
+        return scale * (phi.value(x) + penalized_sum(v_f, v_g, gamma))
 
+    # The run allocates its arrays once: x_k and x_{k+1} rotate through two,
+    # the subgradient step and the step go into two more, and the best
+    # iterate is copied into its own.
     step, project = config.schedule.step, config.domain.project
+    max_iters, max_seconds = config.max_iters, config.max_seconds
+    keep = config.keep_iterates
     trace = SolverTrace(every=config.record_every)
+    record = trace.record
     t0 = time.perf_counter()
-    x = x0.copy()
-    best_val, sub = value_and_subgrad(x)
-    x_best = x
-    trace.record(objective, 0, x, 0.0, t0, best=best_val, value=best_val)
-    if config.keep_iterates:
+    x, x_next = x0.copy(), np.empty_like(x0)
+    sub, d = np.empty_like(x0), np.empty_like(x0)
+    best_val = value_and_subgrad(x, sub)
+    x_best = x.copy()
+    record(objective, 0, x, 0.0, t0, best=best_val, value=best_val)
+    if keep:
         trace.iterates.append(x.copy())
 
-    # x is rebound to a new projection each step, so x_best needs no copy
     reason = "max_iters"
-    for k in range(config.max_iters):
+    for k in range(max_iters):
         sub *= step(k, l_gamma)
-        x_next = project(x - sub)
-        step_norm = _step_norm(x_next - x, x_next, trace)
-        x = x_next
-        if config.keep_iterates:
+        project(np.subtract(x, sub, sub), x_next)
+        step_norm = _step_norm(np.subtract(x_next, x, d), x_next, trace)
+        x, x_next = x_next, x
+        if keep:
             trace.iterates.append(x.copy())
-        val, sub = value_and_subgrad(x)
+        val = value_and_subgrad(x, sub)
         if val < best_val:
             best_val = val
-            x_best = x
-        out_of_time = (config.max_seconds is not None
-                       and time.perf_counter() - t0 >= config.max_seconds)
-        done = (k + 1 == config.max_iters) or out_of_time
+            np.copyto(x_best, x)
+        out_of_time = (max_seconds is not None
+                       and time.perf_counter() - t0 >= max_seconds)
+        done = (k + 1 == max_iters) or out_of_time
         if (k + 1) % trace.every == 0 or done:
-            trace.record(objective, k + 1, x, step_norm, t0, best=best_val, value=val)
+            record(objective, k + 1, x, step_norm, t0, best=best_val, value=val)
         if done:
-            if out_of_time and k + 1 < config.max_iters:
+            if out_of_time and k + 1 < max_iters:
                 reason = "time_budget"
             trace.total_iterations = k + 1
             break
     trace.terminal_reason = reason
+    iters = trace.total_iterations
+    trace.oracle_calls = {"gradient": iters + 1, "prox": 0,
+                          "value": iters + 1 + trace.rows_recorded,
+                          "projection": iters}
     return x_best, trace

@@ -383,6 +383,27 @@ class TestCli:
         assert rc == 2
         assert "input error: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("problem", ["lrp-libsvm", "lsrp-libsvm"])
+    @pytest.mark.parametrize("text, reason", [
+        ("+1 1:0.5 2:1\n-1 1:nan\n", "line 2: feature value"),
+        ("+1 1:0.5 2:1\n-1 2:inf\n", "line 2: feature value"),
+        ("+1 1:0.5 2:1\n-1 1:1e400\n", "line 2: feature value"),
+        ("+1 1:0.5\nnan 1:1\n", "line 2: label"),
+        ("", "no data rows"), ("# header only\n\n", "no data rows")],
+        ids=["nan", "inf", "1e400", "nan-label", "empty", "no-rows"])
+    def test_non_finite_or_empty_data_exits_2(self, tmp_path, capsys,
+                                              problem, text, reason):
+        # at the parent these raised ValueError, OverflowError or
+        # ZeroDivisionError, or failed a solver, instead of an input error
+        path = tmp_path / "data.libsvm"
+        path.write_text(text)
+        rc = cli_main(["--problem", problem, "--data", str(path),
+                       "--solver", "pb_apg", "--gamma", "1e4"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "input error: " in err and reason in err
+        assert "Traceback" not in err
+
     def test_failed_reference_exits_3_without_traceback(self, monkeypatch,
                                                         capsys):
         def stop(instance):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import emit_libsvm
 from sbopt.bench.data import (Dataset, augment_collinear, minmax_scale,
-                              parse_libsvm)
+                              parse_libsvm, parse_libsvm_path)
 from sbopt.bench.synth import synth_instance, synth_lrp, synth_lsrp
 from sbopt.errors import ParseError
 
@@ -24,6 +24,25 @@ class TestParseLibsvm:
     def test_empty_stream(self):
         d = parse_libsvm("")
         assert d.n_rows == 0 and d.n_cols == 0
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400", "NaN"])
+    def test_non_finite_value_rejected_with_line(self, token):
+        with pytest.raises(ParseError) as err:
+            parse_libsvm(f"+1 1:1\n-1 1:0.5 2:{token}\n")
+        assert err.value.line == 2 and "not finite" in str(err.value)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "1e400"])
+    def test_non_finite_label_rejected_with_line(self, token):
+        with pytest.raises(ParseError) as err:
+            parse_libsvm(f"# c\n{token} 1:1\n")
+        assert err.value.line == 2 and "not finite" in str(err.value)
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n\n  \n"])
+    def test_file_without_data_rows_rejected(self, tmp_path, text):
+        path = tmp_path / "empty.libsvm"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="no data rows"):
+            parse_libsvm_path(str(path))
 
     def test_blank_lines_and_comments_skipped(self):
         d = parse_libsvm("# header\n\n+1 1:1\n   \n-1 2:2\n")

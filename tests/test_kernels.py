@@ -1,7 +1,8 @@
-"""The logistic helpers and the L1-ball projection against frozen copies of
-their earlier, plainer forms: every output must match bit for bit
-(compared through ``tobytes``, so -0.0 and NaN payloads count), and so must
-every iterate of the projected-subgradient loop that runs on them."""
+"""The loss helpers, the soft threshold, the L1-ball projection and the
+accelerated engine against frozen copies of their earlier, plainer and
+allocating forms: every output must match bit for bit (compared through
+``tobytes``, so -0.0 and NaN payloads count), and so must every iterate of
+the projected-subgradient and accelerated loops that run on them."""
 
 import math
 import os
@@ -13,10 +14,15 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 
 from sbopt import prox
+from sbopt.apg import (ApgConfig, iteration_budget, next_theta, pb_apg,
+                       pb_apg_sc, sc_budget)
 from sbopt.bench.run import _subgrad_baseline
-from sbopt.bench.synth import synth_lrp
-from sbopt.model import (SmoothTerm, _logistic_grad, _logistic_parts,
-                         _logistic_value, logistic_smooth_term,
+from sbopt.bench.synth import synth_lrp, synth_lsrp
+from sbopt.model import (SmoothTerm, _least_squares_grad,
+                         _least_squares_parts, _logistic_grad,
+                         _logistic_parts, _logistic_value,
+                         assemble_penalized, least_squares_smooth_term,
+                         least_squares_value_grad, logistic_smooth_term,
                          logistic_value_grad)
 from sbopt.reference import lower_opt_value
 from sbopt.subgrad import Diminishing, SubgradConfig, subgrad_solve
@@ -58,6 +64,91 @@ def frozen_project_l1_ball(y, radius):
         support = p > 0.0
         p[support] = np.maximum(p[support] - excess / support.sum(), 0.0)
     return np.sign(y) * p
+
+
+def frozen_least_squares_parts(A, b, x):
+    return (A @ x - b,)
+
+
+def frozen_least_squares_grad(A, b, r):
+    return (A.T @ r) / A.shape[0]
+
+
+def frozen_prox_l1(y, lam):
+    return np.sign(y) * np.maximum(np.abs(y) - lam, 0.0)
+
+
+def frozen_accelerate(grad_step, prox_step, x, cap, beta, restart,
+                      step_tolerance, keep):
+    """The allocating accelerated loop: returns the last iterate, the
+    iterations run, the restarts and (with ``keep``) every iterate."""
+    x = x_prev = x.copy()
+    th_prev = th = 1.0
+    iterates = [x.copy()] if keep else None
+    restarts = iters = 0
+    for k in range(cap):
+        coeff = beta if beta is not None else th * (1.0 / th_prev - 1.0)
+        y = x + coeff * (x - x_prev)
+        x_next = prox_step(y - grad_step(y))
+        d = x_next - x
+        step_norm = math.sqrt(d.dot(d))
+        if beta is None:
+            th_prev, th = th, next_theta(th)
+        x_prev, x = x, x_next
+        if keep:
+            iterates.append(x.copy())
+        if restart and (y - x).dot(d) > 0.0:
+            th_prev, th = 1.0, 1.0
+            x_prev = x
+            restarts += 1
+        iters = k + 1
+        if step_tolerance > 0.0 and step_norm <= step_tolerance:
+            break
+    return x, iters, restarts, iterates
+
+
+def frozen_steps(instance, gamma):
+    """grad_step and prox_step of assemble_penalized(instance, gamma) for a
+    shipped instance (f1 = (w/2)||x||^2; g1 least squares or logistic; an
+    L1 f2 with a zero g2, or a zero f2 with an L1-ball g2), built on the
+    frozen kernels."""
+    A, b = instance.g1.payload
+    (w,) = instance.f1.payload
+    L = instance.f1.lipschitz_grad + gamma * instance.g1.lipschitz_grad
+    if instance.g1.tag == "least_squares":
+        parts, grad = frozen_least_squares_parts, frozen_least_squares_grad
+    else:
+        parts, grad = frozen_logistic_parts, frozen_logistic_grad
+
+    def grad_step(y):
+        return (w * y + gamma * grad(A, b, *parts(A, b, y))) / L
+
+    if instance.f2.kind == "l1":
+        lam = (1.0 / L) * (1.0 * instance.f2.weight)
+        return grad_step, lambda v: frozen_prox_l1(v, lam)
+    r = instance.g2.radius
+    return grad_step, lambda v: frozen_project_l1_ball(v, r)
+
+
+def frozen_run(instance, gamma, engine, config):
+    """The engine's run on the frozen steps and the allocating loop."""
+    objective = assemble_penalized(instance, gamma)
+    grad_step, prox_step = frozen_steps(instance, gamma)
+    x0 = np.zeros(instance.dim)
+    radius = float(np.linalg.norm(x0)) + 1.0
+    L = objective.l_gamma
+    if engine == "pb_apg":
+        budget, beta = iteration_budget(L, radius, config.epsilon), None
+    else:
+        mu = objective.strong_convexity
+        budget = sc_budget(L, mu, radius, config.epsilon)
+        beta = (math.sqrt(L) - math.sqrt(mu)) / (math.sqrt(L) + math.sqrt(mu))
+        y_tilde = x0 - grad_step(x0)
+        x0 = prox_step(y_tilde - grad_step(y_tilde))
+    cap = min(budget, config.max_iters)
+    return frozen_accelerate(grad_step, prox_step, x0, cap, beta,
+                             config.restart, config.step_tolerance,
+                             config.keep_iterates)
 
 
 def frozen_logistic_term(A, b) -> SmoothTerm:
@@ -206,3 +297,147 @@ class TestSubgradientLoopIterates:
         assert len(trace.iterates) == len(want)
         for k, (got, ref) in enumerate(zip(trace.iterates, want)):
             assert _same(got, ref), k
+
+
+def _least_squares_cases():
+    rng = np.random.default_rng(22)
+    for A, _, x in _logistic_cases():
+        b = rng.normal(size=A.shape[0]) * (rng.random(A.shape[0]) < 0.7)
+        b[rng.random(A.shape[0]) < 0.1] = -0.0
+        yield A, b, x
+
+
+class TestLeastSquaresHelpers:
+    def test_parts_and_grad(self):
+        for A, b, x in _least_squares_cases():
+            (r,) = _least_squares_parts(A, b, x)
+            (r0,) = frozen_least_squares_parts(A, b, x)
+            assert _same(r, r0)
+            g0 = frozen_least_squares_grad(A, b, r0)
+            assert _same(_least_squares_grad(A, b, r), g0)
+            out = np.empty(A.shape[1])
+            assert _least_squares_grad(A, b, r, out) is out and _same(out, g0)
+
+    def test_public_function_and_term_oracles(self):
+        for A, b, x in _least_squares_cases():
+            (r0,) = frozen_least_squares_parts(A, b, x)
+            v0 = float(r0 @ r0) / (2.0 * r0.shape[0])
+            g0 = frozen_least_squares_grad(A, b, r0)
+            v, g = least_squares_value_grad(A, b, x)
+            assert v.hex() == v0.hex() and _same(g, g0)
+            term = least_squares_smooth_term(A, b)
+            out = np.full(A.shape[1], np.nan)
+            assert term.grad(x, out) is out and _same(out, g0)
+            assert _same(term.grad(x), g0)
+
+    def test_terms_match_matmul_on_every_shape(self):
+        # a term's ndarray.dot stands in for matmul only when both sides of
+        # A exceed 1; signed zeros and zero rows are where they could differ
+        # (zero entries of A times a negative residual or weight give -0.0
+        # through ndarray.dot's scalar route, +0.0 through gemv)
+        rng = np.random.default_rng(23)
+        for m, n in [(1, 1), (1, 5), (5, 1), (2, 2), (7, 3), (40, 90)]:
+            A = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.6)
+            A[rng.random((m, n)) < 0.2] = -0.0
+            A[0] = 0.0
+            A[:, 0] = 0.0
+            b = rng.choice([-1.0, 1.0], size=m) * (1.0 + rng.random(m))
+            for x in (rng.normal(size=n), np.full(n, -0.0), np.zeros(n)):
+                for make, frozen in (
+                        (least_squares_smooth_term,
+                         lambda A, b, x: frozen_least_squares_grad(
+                             A, b, *frozen_least_squares_parts(A, b, x))),
+                        (logistic_smooth_term,
+                         lambda A, b, x: frozen_logistic_grad(
+                             A, b, *frozen_logistic_parts(A, b, x)))):
+                    rhs = b if make is least_squares_smooth_term else np.sign(b)
+                    term = make(A, rhs)
+                    want = frozen(A, rhs, x)
+                    assert _same(term.grad(x), want)
+                    assert _same(term.value_grad(x)[1], want)
+
+
+class TestProxL1:
+    def test_bit_identical_to_the_frozen_form(self):
+        rng = np.random.default_rng(24)
+        for _ in range(500):
+            n = int(rng.integers(1, 60))
+            y = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+            y[rng.random(n) < 0.2] = rng.choice([0.0, -0.0])
+            lam = float(rng.choice([0.0, 1e-3, 0.5, 2.0]) * np.abs(y).max())
+            want = frozen_prox_l1(y, lam)
+            assert _same(prox.prox_l1(y, lam), want)
+            out = np.full(n, np.nan)
+            assert prox.prox_l1(y, lam, out) is out and _same(out, want)
+        # the sign of zero: -0.0 in, +0.0 out, as sign(-0.0) * 0.0 gives
+        assert _same(prox.prox_l1(np.array([-0.0, -0.1]), 0.5), [0.0, -0.0])
+
+
+ENGINE_INSTANCES = {
+    "lsrp3": lambda: synth_lsrp(100, 190, 3),
+    "lsrp4": lambda: synth_lsrp(100, 190, 4),
+    "lrp7": lambda: synth_lrp(200, 50, 7),
+}
+
+
+class TestAcceleratedEngineIterates:
+    """The buffered engine takes the frozen allocating loop's iterates, bit
+    for bit, on the frozen kernels."""
+
+    @pytest.fixture(scope="class")
+    def instances(self):
+        return {name: make() for name, make in ENGINE_INSTANCES.items()}
+
+    @pytest.mark.parametrize("name", sorted(ENGINE_INSTANCES))
+    @pytest.mark.parametrize("engine", ["pb_apg", "pb_apg_sc"])
+    @pytest.mark.parametrize("restart", [False, True])
+    def test_every_iterate(self, instances, name, engine, restart):
+        instance = instances[name]
+        gamma = 1e5
+        cfg = ApgConfig(epsilon=1e-9, max_iters=3000, step_tolerance=1e-10,
+                        restart=restart, record_every=100,
+                        keep_iterates=True)
+        objective = assemble_penalized(instance, gamma)
+        x0 = np.zeros(instance.dim)
+        if engine == "pb_apg":
+            x, trace = pb_apg(objective, x0, cfg)
+        else:
+            x, trace = pb_apg_sc(objective, objective.strong_convexity, x0,
+                                 cfg)
+        x_f, iters, restarts, iterates = frozen_run(instance, gamma, engine,
+                                                    cfg)
+        assert trace.total_iterations == iters
+        assert trace.restarts == restarts
+        assert len(trace.iterates) == len(iterates) == iters + 1
+        for k, (got, want) in enumerate(zip(trace.iterates, iterates)):
+            assert _same(got, want), k
+        assert _same(x, x_f)
+
+    def test_restarts_are_exercised(self, instances):
+        # the comparison above runs through restarts, not only around them
+        cfg = ApgConfig(epsilon=1e-9, max_iters=3000, restart=True)
+        objective = assemble_penalized(instances["lsrp3"], 1e5)
+        _, trace = pb_apg_sc(objective, objective.strong_convexity,
+                             np.zeros(190), cfg)
+        assert trace.restarts > 0
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    @pytest.mark.parametrize("engine", ["pb_apg", "pb_apg_sc"])
+    def test_full_length_runs(self, seed, engine):
+        # the benchmark's pb_apg / pb_apg_sc runs, to their step stop; the
+        # counts are compared with the frozen loop in this process because
+        # the BLAS kernels, and so the counts, depend on the CPU
+        instance = ENGINE_INSTANCES[f"lsrp{seed}"]()
+        cfg = ApgConfig(epsilon=1e-9, max_iters=400_000, step_tolerance=1e-10,
+                        restart=True, record_every=100)
+        objective = assemble_penalized(instance, 1e5)
+        x0 = np.zeros(instance.dim)
+        if engine == "pb_apg":
+            x, trace = pb_apg(objective, x0, cfg)
+        else:
+            x, trace = pb_apg_sc(objective, objective.strong_convexity, x0,
+                                 cfg)
+        x_f, iters, restarts, _ = frozen_run(instance, 1e5, engine, cfg)
+        assert trace.terminal_reason == "step_tolerance"
+        assert (trace.total_iterations, trace.restarts) == (iters, restarts)
+        assert _same(x, x_f)

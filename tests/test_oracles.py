@@ -4,13 +4,15 @@ the engines take the same iterates through them as through plain terms
 built on those functions."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
+from sbopt import prox as prox_module
 from sbopt.apg import ApgConfig, _step_norm, pb_apg, pb_apg_sc
-from sbopt.bench.run import _subgrad_baseline
+from sbopt.bench.run import _subgrad_baseline, build_config, run_experiment
 from sbopt.bench.synth import synth_lrp, synth_lsrp
 from sbopt.model import (NonsmoothTerm, SmoothTerm, _logistic_value,
                          assemble_penalized, least_squares_smooth_term,
@@ -185,3 +187,90 @@ class TestSubgradientBaselineOracleCalls:
         assert used["value_grad"] == iters + 1
         assert used["grad"] == 0
         assert used["value"] == len(trace.ks)
+
+
+class TestOracleCallCounts:
+    """The counts each solver reports, derived at exit, against counting
+    wrappers on the terms' oracles and the prox and projection."""
+
+    @staticmethod
+    def _counted(instance, counts, monkeypatch):
+        def counted(name, oracle):
+            def wrapper(x):
+                counts[name] += 1
+                return oracle(x)
+            return wrapper
+
+        def counted_module(name):
+            original = getattr(prox_module, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return original(*args)
+            monkeypatch.setattr(prox_module, name, wrapper)
+
+        counted_module("prox_l1")
+        counted_module("project_l1_ball")
+        g1 = instance.g1
+        return dataclasses.replace(instance, g1=dataclasses.replace(
+            g1, value_oracle=counted("value", g1.value_oracle),
+            gradient_oracle=counted("grad", g1.gradient_oracle),
+            value_grad_oracle=counted("value_grad", g1.value_grad_oracle)))
+
+    @pytest.mark.parametrize("engine", ["pb_apg", "pb_apg_sc"])
+    @pytest.mark.parametrize("record_every", [1, 7])
+    def test_accelerated(self, monkeypatch, engine, record_every):
+        counts = dict.fromkeys(
+            ("value", "grad", "value_grad", "prox_l1", "project_l1_ball"), 0)
+        lsrp = synth_lsrp(30, 45, 2).with_lower_opt_value(0.0)
+        instance = self._counted(lsrp, counts, monkeypatch)
+        objective = assemble_penalized(instance, 50.0)
+        cfg = ApgConfig(epsilon=1e-9, max_iters=300, restart=True,
+                        record_every=record_every)
+        x0 = np.zeros(instance.dim)
+        if engine == "pb_apg":
+            _, trace = pb_apg(objective, x0, cfg)
+        else:
+            _, trace = pb_apg_sc(objective, objective.strong_convexity, x0,
+                                 cfg)
+        calls = trace.oracle_calls
+        assert all(type(v) is int for v in calls.values())
+        warm = engine == "pb_apg_sc"
+        assert calls == {"gradient": 300 + 2 * warm, "prox": 300 + warm,
+                         "value": len(trace.ks), "projection": 0}
+        assert calls["gradient"] == counts["grad"]
+        assert calls["prox"] == counts["prox_l1"]
+        assert calls["value"] == counts["value"] == trace.rows_recorded
+        assert counts["value_grad"] == counts["project_l1_ball"] == 0
+
+    def test_subgradient(self, monkeypatch):
+        counts = dict.fromkeys(
+            ("value", "grad", "value_grad", "prox_l1", "project_l1_ball"), 0)
+        instance = self._counted(synth_lrp(40, 12, 4), counts, monkeypatch)
+        objective, domain, radius = _subgrad_baseline(
+            instance, 10.0, np.zeros(instance.dim))
+        x0 = domain.project(np.zeros(instance.dim))
+        before = dict(counts)
+        cfg = SubgradConfig(schedule=Diminishing(radius), max_iters=200,
+                            domain=domain, record_every=9)
+        _, trace = subgrad_solve(objective, x0, cfg)
+        used = {k: counts[k] - before[k] for k in counts}
+        calls = trace.oracle_calls
+        assert calls == {"gradient": 201, "prox": 0,
+                         "value": 201 + len(trace.ks), "projection": 200}
+        assert calls["gradient"] == used["value_grad"] + used["grad"]
+        assert calls["value"] == used["value_grad"] + used["value"]
+        assert calls["projection"] == used["project_l1_ball"]
+
+    def test_report_json_sums_the_segments(self, tmp_path):
+        cfg = build_config({"preset": "lsrp-bench", "m": 20, "n": 30,
+                            "max_iters": 2000, "out_dir": str(tmp_path),
+                            "fixed_clock": True})
+        report = run_experiment(cfg)
+        with open(tmp_path / "report.json", encoding="utf-8") as fh:
+            solvers = json.load(fh)["solvers"]
+        for name, res in report.solvers.items():
+            want = {k: sum(t.oracle_calls[k] for _, _, t in res.segments)
+                    for k in ("gradient", "prox", "value", "projection")}
+            assert solvers[name]["oracle_calls"] == want
+            assert want["gradient"] >= res.total_iterations > 0
