@@ -10,7 +10,7 @@ certifying (eps_F, eps_G)-optimality afterwards.
 import logging
 
 from .adaptive import (LadderConfig, LadderStage, apb_apg, apb_apg_sc,
-                       ladder_entry_index, stage_gap_bound)
+                       ladder_entry_index)
 from .apg import (ApgConfig, SolverTrace, gradient_mapping_norm,
                   iteration_budget, next_theta, pb_apg, pb_apg_sc, sc_budget)
 from .errors import (ConfigError, DimensionMismatch, InfeasibleStart,

@@ -43,9 +43,9 @@ class LadderConfig:
     stop_epsilon: float = 1e-10
 
     def __post_init__(self):
-        if self.gamma0 <= 0 or self.epsilon0 <= 0 or self.stop_epsilon <= 0:
+        if not (self.gamma0 > 0 and self.epsilon0 > 0 and self.stop_epsilon > 0):
             raise InvalidLadder("gamma0, epsilon0 and stop_epsilon must be positive")
-        if self.nu <= 1.0 or self.eta <= 1.0:
+        if not (self.nu > 1.0 and self.eta > 1.0):
             raise InvalidLadder(f"need nu > 1 and eta > 1, got nu={self.nu}, eta={self.eta}")
         try:
             last = self.epsilon0 / self.eta ** (MAX_STAGES - 1)
@@ -81,9 +81,9 @@ def ladder_entry_index(alpha: float, rho: float, l_f: float, epsilon0: float,
                        gamma0: float, nu: float, eta: float) -> int:
     """Smallest stage index N with gamma0 * nu^N >= gamma*(eps_N); 0 when the
     initial gamma already clears the threshold."""
-    if alpha < 1.0:
+    if not alpha >= 1.0:
         raise InvalidErrorBound(f"alpha must be >= 1, got {alpha}")
-    if nu <= 1.0 or eta <= 1.0:
+    if not (nu > 1.0 and eta > 1.0):
         raise InvalidLadder(f"need nu > 1 and eta > 1, got nu={nu}, eta={eta}")
     if alpha == 1.0:
         base = nu
@@ -100,18 +100,6 @@ def ladder_entry_index(alpha: float, rho: float, l_f: float, epsilon0: float,
     while base**n < arg * (1.0 - 1e-12):
         n += 1
     return n
-
-
-def stage_gap_bound(alpha: float, rho: float, l_f: float, epsilon0: float,
-                    gamma0: float, nu: float, eta: float, k: int) -> float:
-    """Certified residual bound of the stage-k output,
-    2*eps_k / (gamma0*nu^k - gamma*(eps_k)); +inf below the entry index."""
-    eps_k = epsilon0 / eta**k
-    gamma_k = gamma0 * nu**k
-    gs_k = gamma_star(alpha, rho, l_f, eps_k)
-    if gamma_k <= gs_k:
-        return math.inf
-    return 2.0 * eps_k / (gamma_k - gs_k)
 
 
 def _run_ladder(instance: BilevelInstance, x0, ladder: LadderConfig,

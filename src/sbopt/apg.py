@@ -54,9 +54,9 @@ class ApgConfig:
     keep_iterates: bool = False
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if self.radius_bound is not None and self.radius_bound <= 0:
+        if self.radius_bound is not None and not self.radius_bound > 0:
             raise ValueError("radius_bound must be positive")
         if self.record_every < 1:
             raise ValueError("record_every must be a positive integer")
@@ -143,7 +143,7 @@ def next_theta(theta: float) -> float:
 
 def iteration_budget(l_gamma: float, radius: float, epsilon: float) -> int:
     """Smallest K >= 0 with 2*l_gamma*radius^2/(K+1)^2 <= epsilon."""
-    if l_gamma <= 0 or radius <= 0 or epsilon <= 0:
+    if not (l_gamma > 0 and radius > 0 and epsilon > 0):
         raise ValueError("l_gamma, radius and epsilon must be positive")
     v = radius * math.sqrt(2.0 * l_gamma / epsilon)
     k = max(0, math.floor(v) - 1)
@@ -155,10 +155,10 @@ def iteration_budget(l_gamma: float, radius: float, epsilon: float) -> int:
 def sc_budget(l_gamma: float, mu: float, radius: float, epsilon: float) -> int:
     """Smallest k >= 0 with ((l_gamma+mu)/2) * radius^2 * (1-sqrt(mu/l_gamma))^k
     <= epsilon."""
-    if mu <= 0 or mu > l_gamma:
+    if not 0 < mu <= l_gamma:
         raise InvalidStrongConvexity(
             f"need 0 < mu <= l_gamma, got mu={mu}, l_gamma={l_gamma}")
-    if radius <= 0 or epsilon <= 0:
+    if not (radius > 0 and epsilon > 0):
         raise ValueError("radius and epsilon must be positive")
     c = 0.5 * (l_gamma + mu) * radius * radius
     if c <= epsilon:
@@ -282,7 +282,7 @@ def pb_apg(objective: PenalizedObjective, x0: np.ndarray,
 
     Returns the final iterate and the trace.
     """
-    if objective.phi.lipschitz_grad <= 0:
+    if not objective.phi.lipschitz_grad > 0:
         raise ValueError("the smooth part must have a positive Lipschitz constant")
     x0 = np.asarray(x0, dtype=float)
     if not np.all(np.isfinite(x0)):
@@ -312,7 +312,7 @@ def pb_apg_sc(objective: PenalizedObjective, mu: float, x_init: np.ndarray,
     x_k = x_{k+1}, so the next extrapolation is zero.
     """
     L = objective.l_gamma
-    if mu <= 0 or mu > L * (1 + 1e-12):
+    if not 0 < mu <= L * (1 + 1e-12):
         raise InvalidStrongConvexity(f"need 0 < mu <= L_gamma, got mu={mu}, L={L}")
     x_init = np.asarray(x_init, dtype=float)
     if not np.all(np.isfinite(x_init)):

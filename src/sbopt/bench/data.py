@@ -2,16 +2,17 @@
 
 The parser is strict: lines are "<label> <idx>:<val> ...", feature indices
 1-based and strictly increasing within a line.  Blank lines and lines whose
-first non-space character is '#' are skipped.  Features are stored 0-based,
-sparse row-major.
+first non-space character is '#' are skipped.  Features are stored as a
+dense float matrix, one row per data line, with 0-based columns.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional
 
 import numpy as np
 
@@ -20,29 +21,22 @@ from ..errors import ParseError
 
 @dataclass
 class Dataset:
-    """Sparse row-major dataset: per-row (indices, values) pairs plus labels."""
+    """Dense dataset: the feature matrix, one row per sample, and labels."""
 
-    n_rows: int
-    n_cols: int
-    rows: List[Tuple[np.ndarray, np.ndarray]]
+    features: np.ndarray
     labels: np.ndarray
 
-    def to_dense(self) -> np.ndarray:
-        X = np.zeros((self.n_rows, self.n_cols))
-        for i, (idx, val) in enumerate(self.rows):
-            X[i, idx] = val
-        return X
+    @property
+    def n_rows(self) -> int:
+        return self.features.shape[0]
 
-    @staticmethod
-    def from_dense(X, labels) -> "Dataset":
-        X = np.asarray(X, dtype=float)
-        labels = np.asarray(labels, dtype=float)
-        rows = []
-        for i in range(X.shape[0]):
-            idx = np.nonzero(X[i])[0]
-            rows.append((idx.astype(np.int64), X[i, idx].copy()))
-        return Dataset(n_rows=X.shape[0], n_cols=X.shape[1], rows=rows,
-                       labels=labels)
+    @property
+    def n_cols(self) -> int:
+        return self.features.shape[1]
+
+    def to_dense(self) -> np.ndarray:
+        """A new copy of the feature matrix."""
+        return self.features.copy()
 
 
 def _coerce_label(raw: float, line_no: int) -> float:
@@ -62,11 +56,12 @@ def parse_libsvm(lines: Iterable[str], n_features: Optional[int] = None,
     ``coerce_binary_labels`` labels in {0, 1, -1, +1} map onto {-1, +1}.
     Raises ParseError with the 1-based line number on any malformed token,
     and on a label or value that is not finite (nan, inf, or a literal past
-    the float range such as 1e400).
+    the float range such as 1e400).  The nonzeros are collected as flat
+    (row, column, value) buffers and scattered into the matrix at once.
     """
     if isinstance(lines, str):
         lines = lines.splitlines()
-    rows: List[Tuple[np.ndarray, np.ndarray]] = []
+    rows, cols, vals = array("q"), array("q"), array("d")
     labels: List[float] = []
     max_index = 0
     isfinite = math.isfinite
@@ -83,8 +78,7 @@ def parse_libsvm(lines: Iterable[str], n_features: Optional[int] = None,
             raise ParseError(f"label {tokens[0]!r} is not finite", line=line_no)
         if coerce_binary_labels:
             label = _coerce_label(label, line_no)
-        idxs: List[int] = []
-        vals: List[float] = []
+        row = len(labels)
         prev = 0
         for tok in tokens[1:]:
             part = tok.split(":")
@@ -108,15 +102,16 @@ def parse_libsvm(lines: Iterable[str], n_features: Optional[int] = None,
                     f"feature index {idx} exceeds declared width {n_features}",
                     line=line_no)
             prev = idx
-            idxs.append(idx - 1)
+            rows.append(row)
+            cols.append(idx - 1)
             vals.append(val)
         max_index = max(max_index, prev)
-        rows.append((np.asarray(idxs, dtype=np.int64),
-                     np.asarray(vals, dtype=float)))
         labels.append(label)
     n_cols = n_features if n_features is not None else max_index
-    return Dataset(n_rows=len(rows), n_cols=n_cols, rows=rows,
-                   labels=np.asarray(labels, dtype=float))
+    X = np.zeros((len(labels), n_cols))
+    X[np.frombuffer(rows, dtype=np.int64),
+      np.frombuffer(cols, dtype=np.int64)] = np.frombuffer(vals)
+    return Dataset(X, np.asarray(labels, dtype=float))
 
 
 def parse_libsvm_path(path, n_features: Optional[int] = None,
@@ -135,14 +130,14 @@ def minmax_scale(data: Dataset) -> Dataset:
     """Map every feature column onto [0, 1]; constant columns map to 0."""
     if data.n_rows < 1:
         raise ValueError("minmax_scale needs at least one row")
-    X = data.to_dense()
+    X = data.features
     lo = X.min(axis=0)
     hi = X.max(axis=0)
     span = hi - lo
     scaled = np.zeros_like(X)
     nz = span > 0
     scaled[:, nz] = (X[:, nz] - lo[nz]) / span[nz]
-    return Dataset.from_dense(scaled, data.labels)
+    return Dataset(scaled, data.labels)
 
 
 def augment_collinear(data: Dataset, copies: int,
@@ -152,10 +147,10 @@ def augment_collinear(data: Dataset, copies: int,
     the rank unchanged, so the Gram matrix becomes singular by construction."""
     if copies < 0 or copies > data.n_cols:
         raise ValueError("copies must lie in [0, n_cols]")
-    X = data.to_dense()
+    X = data.features
     parts = [X]
     if copies > 0:
         parts.append(X[:, :copies])
     if add_intercept:
         parts.append(np.ones((data.n_rows, 1)))
-    return Dataset.from_dense(np.hstack(parts), data.labels)
+    return Dataset(np.hstack(parts), data.labels)

@@ -38,7 +38,7 @@ class SmoothTerm:
     ``lipschitz_grad`` bounds the gradient's Lipschitz constant;
     ``strong_convexity`` is 0 for merely convex terms.  ``tag``/``payload``
     carry the loss family and its data for the shipped losses, so reference
-    computations can pick closed-form routes.
+    computations can pick closed-form routes; ``zero()`` is tagged "zero".
     """
 
     value_oracle: Callable[[np.ndarray], float]
@@ -83,7 +83,7 @@ class SmoothTerm:
 
     @staticmethod
     def zero() -> "SmoothTerm":
-        return SmoothTerm(lambda x: 0.0, np.zeros_like, 0.0, 0.0)
+        return SmoothTerm(lambda x: 0.0, np.zeros_like, 0.0, 0.0, tag="zero")
 
 
 _KINDS = ("zero", "l1", "l1_ball", "box", "custom")
@@ -125,13 +125,13 @@ class NonsmoothTerm:
 
     @staticmethod
     def l1_norm(weight: float = 1.0) -> "NonsmoothTerm":
-        if weight <= 0:
+        if not weight > 0:
             raise ValueError("l1 weight must be positive")
         return NonsmoothTerm(kind="l1", weight=weight)
 
     @staticmethod
     def indicator_l1_ball(radius: float) -> "NonsmoothTerm":
-        if radius <= 0:
+        if not radius > 0:
             raise ValueError("l1 ball radius must be positive")
         return NonsmoothTerm(kind="l1_ball", radius=radius)
 
@@ -139,7 +139,7 @@ class NonsmoothTerm:
     def indicator_box(lo, hi) -> "NonsmoothTerm":
         lo = _frozen_copy(lo)
         hi = _frozen_copy(hi)
-        if lo.shape != hi.shape or np.any(lo > hi):
+        if lo.shape != hi.shape or not np.all(lo <= hi):
             raise ValueError("box bounds must satisfy lo <= hi elementwise")
         return NonsmoothTerm(kind="box", lo=lo, hi=hi)
 
@@ -270,11 +270,11 @@ class BilevelInstance:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
-        if self.alpha < 1.0:
+        if not self.alpha >= 1.0:
             raise InvalidErrorBound(f"alpha must be >= 1, got {self.alpha}")
-        if self.rho <= 0.0:
+        if not self.rho > 0.0:
             raise InvalidErrorBound(f"rho must be positive, got {self.rho}")
-        if self.subgrad_diameter <= 0.0:
+        if not self.subgrad_diameter > 0.0:
             raise ValueError("subgrad_diameter must be positive")
 
     def upper_value(self, x: np.ndarray) -> float:
@@ -361,7 +361,7 @@ class PenalizedObjective:
 
     def scaled(self, c: float) -> "PenalizedObjective":
         """A view of c times this objective (step constant becomes c*L_gamma)."""
-        if c <= 0:
+        if not c > 0:
             raise ValueError("scale factor must be positive")
         sub = None if self.subgrad_lipschitz is None else c * self.subgrad_lipschitz
         return dataclasses.replace(self, scale=c * self.scale, subgrad_lipschitz=sub)
@@ -405,7 +405,7 @@ def assemble_penalized(instance: BilevelInstance, gamma: float) -> PenalizedObje
     combined prox.  The objective is linked to ``instance``, so traces report
     F, and lower-level residuals once the instance's G* is available.
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("gamma must be positive")
     phi = _combine_smooth(instance.f1, instance.g1, gamma)
     psi = _prox.compose_prox(instance.f2, instance.g2, gamma)

@@ -20,9 +20,9 @@ from .model import BilevelInstance
 
 
 def _validate(alpha: float, rho: float, l_f: float, epsilon: float) -> None:
-    if alpha < 1.0:
+    if not alpha >= 1.0:
         raise InvalidErrorBound(f"alpha must be >= 1, got {alpha}")
-    if rho <= 0.0 or l_f <= 0.0 or epsilon <= 0.0:
+    if not (rho > 0.0 and l_f > 0.0 and epsilon > 0.0):
         raise InvalidErrorBound("rho, l_f and epsilon must be positive")
 
 
@@ -50,7 +50,7 @@ def gamma_total(alpha: float, rho: float, l_f: float, epsilon: float,
     point of the bilevel problem (margin 2*l_f^beta*eps^(1-beta) for alpha > 1,
     half that for alpha = 1)."""
     _validate(alpha, rho, l_f, epsilon)
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise InvalidErrorBound(f"beta must be positive, got {beta}")
     margin = l_f**beta * epsilon**(1.0 - beta)
     if alpha > 1.0:
@@ -63,7 +63,7 @@ def suboptimality_lower_bound(alpha: float, rho: float, l_f: float,
     """Intrinsic lower bound on F(x) - F* at any certified point:
     -l_f * (rho * l_f^-beta * eps^beta)^(1/alpha)."""
     _validate(alpha, rho, l_f, epsilon)
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise InvalidErrorBound(f"beta must be positive, got {beta}")
     return -l_f * (rho * l_f**(-beta) * epsilon**beta) ** (1.0 / alpha)
 

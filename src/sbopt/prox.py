@@ -112,7 +112,7 @@ def compose_prox(f2, g2, gamma: float) -> ProxSpec:
     indicator (soft threshold then clamp); box + box (intersection); L1 ball
     + L1 ball (smaller radius).  Indicator parts are unaffected by gamma.
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("gamma must be positive")
     kinds = (f2.kind, g2.kind)
 
@@ -135,7 +135,7 @@ def compose_prox(f2, g2, gamma: float) -> ProxSpec:
     elif kinds == ("box", "box"):
         lo = np.maximum(f2.lo, g2.lo)
         hi = np.minimum(f2.hi, g2.hi)
-        if np.any(lo > hi):
+        if not np.all(lo <= hi):
             raise NonComposableProx("box intersection is empty")
         prox = lambda y, t, out=None: project_box(y, lo, hi, out)
     elif kinds == ("l1_ball", "l1_ball"):

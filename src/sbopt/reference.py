@@ -87,6 +87,15 @@ def min_norm_least_squares(A, b) -> np.ndarray:
     return x
 
 
+def _restarted_run(objective: PenalizedObjective, x, cfg: ApgConfig):
+    """One run of the accelerated engine that fits the objective: pb_apg_sc
+    when it is strongly convex, else pb_apg."""
+    mu = objective.strong_convexity
+    if mu > 0:
+        return pb_apg_sc(objective, mu, x, cfg)
+    return pb_apg(objective, x, cfg)
+
+
 def _lower_objective(instance: BilevelInstance) -> PenalizedObjective:
     """The lower level g1 + g2 alone, packaged for the accelerated engines."""
     psi = compose_prox(NonsmoothTerm.zero(), instance.g2, 1.0)
@@ -124,20 +133,16 @@ def lower_opt_value(instance: BilevelInstance, tolerance: float = 1e-12,
                                    residual_certificate=resid, x=x_hat)
 
     objective = _lower_objective(instance)
-    if objective.phi.lipschitz_grad <= 0:
+    if not objective.phi.lipschitz_grad > 0:
         raise Nonconvergence("lower level has no smooth part to drive")
     x = np.zeros(instance.dim)
     total = 0
     step = min(FIRST_CHECKPOINT, chunk)
-    mu = instance.g1.strong_convexity
     while total < max_iters:
         segment = min(step, max_iters - total)
         cfg = ApgConfig(epsilon=1e-18, max_iters=segment, step_tolerance=0.0,
                         restart=True, record_every=segment)
-        if mu > 0:
-            x, trace = pb_apg_sc(objective, mu, x, cfg)
-        else:
-            x, trace = pb_apg(objective, x, cfg)
+        x, trace = _restarted_run(objective, x, cfg)
         total += max(trace.total_iterations, 1)
         step = min(2 * step, chunk)
         gm = gradient_mapping_norm(objective, x)
@@ -177,13 +182,13 @@ def _dual_bracket(inst: BilevelInstance):
 
     Lower: the dual of min F s.t. A x = c at lambda = gamma (c - A x)/m,
     D(lambda) = lambda'c - ||soft(A'lambda, w)||^2 / (2 tau) <= F* (weak
-    duality holds for any lambda).  Upper: ``_upper_end`` over three points
+    duality holds for any lambda).  Upper: ``_upper_end`` over two points
     x + d, with d zero off a set S of coordinates and d_S =
-    min_norm_least_squares(A[:, S], c - A x), for S = every coordinate,
-    S = supp(x) and S = the m coordinates of largest |A'lambda|.  The last
-    two keep the sparse support of x (a lasso-type solution has at most m
-    nonzeros), so they add little L1 mass; a point counts only when its
-    residual is at rounding level."""
+    min_norm_least_squares(A[:, S], c - A x), for S = every coordinate and
+    S = the m coordinates of largest |A'lambda|, which hold supp(x) when it
+    has at most m nonzeros: at the penalized minimizer |A'lambda| =
+    tau |x| + w > w on supp(x) and <= w off it.  A point counts only when
+    its residual is at rounding level."""
     f1, g1, w = inst.f1, inst.g1, inst.f2.l1_weight
     if (f1.tag != "squared_norm" or g1.tag != "least_squares" or w is None
             or inst.g2.l1_weight != 0.0 or not f1.payload[0] > 0.0):
@@ -202,7 +207,7 @@ def _dual_bracket(inst: BilevelInstance):
         lam = (gamma / m) * r
         v = A.T @ lam
         u = prox_l1(v, w)
-        supports = (slice(None), np.flatnonzero(x), np.argsort(np.abs(v))[-m:])
+        supports = (slice(None), np.argsort(np.abs(v))[-m:])
         points = [corrected(x, r, s) for s in supports]
         return (float(lam @ c) - float(u @ u) / (2.0 * tau),
                 _upper_end(inst, A, c, points))
@@ -234,7 +239,7 @@ def upper_opt_value(instance: BilevelInstance, g_star: float,
     nothing, so it raises Nonconvergence carrying F at its last iterate and
     that iterate's gradient-mapping norm.
     """
-    if relaxation <= 0:
+    if not relaxation > 0:
         raise ValueError("relaxation must be positive")
     inst = instance.with_lower_opt_value(g_star)
     bracket = _dual_bracket(inst)
@@ -249,11 +254,7 @@ def upper_opt_value(instance: BilevelInstance, g_star: float,
         cfg = ApgConfig(epsilon=1e-18, max_iters=max_iters_per_solve,
                         step_tolerance=STEP_TOLERANCE, restart=True,
                         record_every=max_iters_per_solve)
-        mu = objective.strong_convexity
-        if mu > 0:
-            x, trace = pb_apg_sc(objective, mu, x, cfg)
-        else:
-            x, trace = pb_apg(objective, x, cfg)
+        x, trace = _restarted_run(objective, x, cfg)
         solves += 1
         iterations += trace.total_iterations
         if trace.terminal_reason == "max_iters":

@@ -71,7 +71,7 @@ class Diminishing:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError("radius must be positive")
 
     def step(self, k: int, l_gamma: float) -> float:
@@ -85,7 +85,7 @@ class StronglyConvex:
     mu: float
 
     def __post_init__(self):
-        if self.mu <= 0:
+        if not self.mu > 0:
             raise ValueError("mu must be positive")
 
     def step(self, k: int, l_gamma: float) -> float:
@@ -129,7 +129,7 @@ def assemble_nonsmooth(f2: NonsmoothTerm, g2: NonsmoothTerm, gamma: float,
     """Penalized objective f2 + gamma*g2 in subgradient mode: no smooth part,
     no prox requirement, l_gamma = l_f2 + gamma*l_g2 from the term constants.
     A given ``instance`` is linked, so traces report its F and G - G*."""
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("gamma must be positive")
     if f2.lipschitz is None or g2.lipschitz is None:
         raise UnsupportedTerm("subgradient mode needs Lipschitz constants on both terms")
@@ -147,7 +147,9 @@ def subgrad_solve(objective: PenalizedObjective, x0: np.ndarray,
     the domain exactly.  With the diminishing schedule and a valid radius the
     best-value gap after K steps is at most
     (l_gamma/4)(R^2 + 2 log 2)/sqrt(K+2); with the strongly convex schedule it
-    is at most 2 l_gamma^2 / (mu (K+1)).
+    is at most 2 l_gamma^2 / (mu (K+1)).  The step uses the subgradients of
+    f2 and g2 alone, so an objective with a smooth part raises
+    UnsupportedTerm.
     """
     x0 = np.asarray(x0, dtype=float)
     if not config.domain.contains(x0):
@@ -156,8 +158,11 @@ def subgrad_solve(objective: PenalizedObjective, x0: np.ndarray,
         raise InvalidStrongConvexity(
             "the strongly convex schedule requires a bounded domain")
     l_gamma = objective.subgrad_lipschitz
-    if l_gamma is None or l_gamma <= 0:
+    if l_gamma is None or not l_gamma > 0:
         raise UnsupportedTerm("objective carries no subgradient Lipschitz constant")
+    if objective.phi.tag != "zero":
+        raise UnsupportedTerm("subgradient mode takes no smooth part; fold it "
+                              "into a nonsmooth term")
 
     f2, g2, gamma = objective.psi.f2, objective.psi.g2, objective.psi.gamma
     scale, phi = objective.scale, objective.phi

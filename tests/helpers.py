@@ -230,9 +230,10 @@ def toy_sharp_instance():
 
 
 def emit_libsvm(dataset):
+    """One line per row of the dense matrix, listing its nonzeros."""
     lines = []
-    for i, (idx, val) in enumerate(dataset.rows):
-        toks = [f"{dataset.labels[i]:.17g}"]
-        toks += [f"{j + 1}:{v:.17g}" for j, v in zip(idx, val)]
+    for label, row in zip(dataset.labels, dataset.features):
+        toks = [f"{label:.17g}"]
+        toks += [f"{j + 1}:{row[j]:.17g}" for j in np.flatnonzero(row)]
         lines.append(" ".join(toks))
     return "\n".join(lines) + ("\n" if lines else "")

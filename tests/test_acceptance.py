@@ -17,13 +17,12 @@ from helpers import (SeparableLipschitz, grid_project_l1_ball_2d,
                      grid_project_l1_ball_3d, grid_prox_separable,
                      quad_l1_objective, toy_quadratic_instance,
                      toy_sharp_instance)
-from sbopt.adaptive import LadderConfig, apb_apg, ladder_entry_index, \
-    stage_gap_bound
+from sbopt.adaptive import LadderConfig, apb_apg, ladder_entry_index
 from sbopt.apg import (ApgConfig, iteration_budget, pb_apg, pb_apg_sc,
                        sc_budget)
 from sbopt.bench.run import build_config, run_experiment
 from sbopt.model import NonsmoothTerm, assemble_penalized
-from sbopt.penalty import (gamma_star, gamma_total,
+from sbopt.penalty import (gamma_star, gamma_total, implied_lower_gap,
                            suboptimality_lower_bound)
 from sbopt.prox import compose_prox, project_box, project_l1_ball, prox_l1
 from sbopt.subgrad import Diminishing, StronglyConvex, SubgradConfig, \
@@ -212,7 +211,8 @@ def test_criterion_7_adaptive_ladder():
     assert len(stages) == 11
     checked = 0
     for st in stages[n_entry:]:
-        bound = stage_gap_bound(alpha, rho, l_f, eps0, gamma0, nu, eta, st.index)
+        bound = implied_lower_gap(gamma0 * nu**st.index, alpha, rho, l_f,
+                                  eps0 / eta**st.index)
         assert st.g_gap <= bound + 1e-12, (st.index, st.g_gap, bound)
         checked += 1
     assert checked == len(stages) - n_entry

@@ -9,10 +9,11 @@ import pytest
 
 from helpers import toy_quadratic_instance, toy_sharp_instance
 from sbopt.adaptive import (MAX_STAGES, LadderConfig, apb_apg, apb_apg_sc,
-                            ladder_entry_index, stage_gap_bound)
+                            ladder_entry_index)
 from sbopt.apg import ApgConfig, pb_apg
 from sbopt.errors import InvalidLadder
 from sbopt.model import assemble_penalized
+from sbopt.penalty import implied_lower_gap
 
 
 class TestLadderEntryIndex:
@@ -128,13 +129,13 @@ class TestTheoremStageGuarantee:
                             ApgConfig(epsilon=eps0, radius_bound=2.0))
         assert len(stages) == 9
         for st in stages[n_entry:]:
-            bound = stage_gap_bound(alpha, rho, l_f, eps0, gamma0, nu, eta,
-                                    st.index)
+            bound = implied_lower_gap(gamma0 * nu**st.index, alpha, rho, l_f,
+                                      eps0 / eta**st.index)
             assert st.g_gap <= bound + 1e-12
 
     def test_stage_bound_is_infinite_below_entry(self):
         # gamma0 far below gamma*: early stages carry no certificate
-        assert stage_gap_bound(2.0, 1.0, 1.0, 1e-6, 1e-8, 20.0, 10.0, 0) == math.inf
+        assert implied_lower_gap(1e-8, 2.0, 1.0, 1.0, 1e-6) == math.inf
 
     def test_stage_threshold_matches_explicit_power_form(self):
         # gamma*(eps0/eta^k) equals gamma*(eps0) * eta^(k(alpha-1))

@@ -16,7 +16,8 @@ class TestParseLibsvm:
     def test_basic_line(self):
         d = parse_libsvm("+1 3:0.5 7:1.25")
         assert d.n_rows == 1 and d.n_cols == 7
-        idx, val = d.rows[0]
+        idx = np.flatnonzero(d.features[0])
+        val = d.features[0, idx]
         np.testing.assert_array_equal(idx, [2, 6])
         np.testing.assert_array_equal(val, [0.5, 1.25])
         assert d.labels[0] == 1.0
@@ -88,7 +89,7 @@ class TestParseLibsvm:
             m, n = int(rng.integers(1, 8)), int(rng.integers(1, 9))
             X = rng.normal(size=(m, n)) * (rng.random(size=(m, n)) < 0.5)
             labels = rng.choice([-1.0, 1.0], size=m)
-            d = Dataset.from_dense(X, labels)
+            d = Dataset(X, labels)
             d2 = parse_libsvm(emit_libsvm(d), n_features=n)
             np.testing.assert_array_equal(d2.to_dense(), d.to_dense())
             np.testing.assert_array_equal(d2.labels, d.labels)
@@ -105,7 +106,7 @@ class TestParseLibsvm:
             min_size=m, max_size=m))
         labels = data.draw(st.lists(st.floats(-10, 10, allow_nan=False),
                                     min_size=m, max_size=m))
-        d = Dataset.from_dense(np.asarray(dense), np.asarray(labels))
+        d = Dataset(np.asarray(dense), np.asarray(labels))
         d2 = parse_libsvm(emit_libsvm(d), n_features=n)
         np.testing.assert_array_equal(d2.to_dense(), d.to_dense())
         np.testing.assert_array_equal(d2.labels, d.labels)
@@ -114,7 +115,7 @@ class TestParseLibsvm:
 class TestMinmaxScale:
     def test_hand_columns(self):
         X = np.array([[1.0, 5.0, -1.0], [3.0, 5.0, 0.0], [2.0, 5.0, 1.0]])
-        d = minmax_scale(Dataset.from_dense(X, np.zeros(3)))
+        d = minmax_scale(Dataset(X, np.zeros(3)))
         S = d.to_dense()
         np.testing.assert_allclose(S[:, 0], [0.0, 1.0, 0.5])
         np.testing.assert_allclose(S[:, 1], [0.0, 0.0, 0.0])  # constant -> 0
@@ -123,7 +124,7 @@ class TestMinmaxScale:
     def test_range_is_unit(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(20, 6)) * 7 + 3
-        S = minmax_scale(Dataset.from_dense(X, np.zeros(20))).to_dense()
+        S = minmax_scale(Dataset(X, np.zeros(20))).to_dense()
         assert S.min() >= 0.0 and S.max() <= 1.0
         np.testing.assert_allclose(S.min(axis=0), 0.0, atol=1e-15)
         np.testing.assert_allclose(S.max(axis=0), 1.0, atol=1e-15)
@@ -132,7 +133,7 @@ class TestMinmaxScale:
 class TestAugmentCollinear:
     def test_intercept_only(self):
         X = np.arange(6.0).reshape(3, 2)
-        d = augment_collinear(Dataset.from_dense(X, np.zeros(3)), copies=0,
+        d = augment_collinear(Dataset(X, np.zeros(3)), copies=0,
                               add_intercept=True)
         D = d.to_dense()
         assert D.shape == (3, 3)
@@ -140,7 +141,7 @@ class TestAugmentCollinear:
 
     def test_copies_duplicate_leading_columns(self):
         X = np.arange(12.0).reshape(4, 3)
-        d = augment_collinear(Dataset.from_dense(X, np.zeros(4)), copies=2)
+        d = augment_collinear(Dataset(X, np.zeros(4)), copies=2)
         D = d.to_dense()
         assert D.shape == (4, 5)
         np.testing.assert_array_equal(D[:, 3], X[:, 0])
@@ -149,7 +150,7 @@ class TestAugmentCollinear:
     def test_rank_unchanged_and_gram_singular(self):
         rng = np.random.default_rng(2)
         X = rng.normal(size=(10, 4))
-        d = augment_collinear(Dataset.from_dense(X, np.zeros(10)), copies=4)
+        d = augment_collinear(Dataset(X, np.zeros(10)), copies=4)
         D = d.to_dense()
         assert np.linalg.matrix_rank(D) == np.linalg.matrix_rank(X)
         # a null vector by construction: e_0 - e_4
@@ -158,7 +159,7 @@ class TestAugmentCollinear:
         assert np.linalg.norm(D @ z) <= 1e-12
 
     def test_copies_bounds(self):
-        d = Dataset.from_dense(np.eye(2), np.zeros(2))
+        d = Dataset(np.eye(2), np.zeros(2))
         with pytest.raises(ValueError):
             augment_collinear(d, copies=3)
 

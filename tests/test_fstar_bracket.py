@@ -105,11 +105,13 @@ class TestLsrpBenchBracket:
         assert (up.f_star_solves, up.f_star_iterations) == (1, 7007)
         assert up.f_star_lower <= up.f_star_upper
 
-    @pytest.mark.parametrize("seed", range(3, 13))
+    @pytest.mark.parametrize("seed", range(3, 23))
     def test_support_corrections_never_cost_a_solve(self, seed, monkeypatch):
         # record each gamma's bracket next to the upper end of the min-norm
         # correction alone: the escalation only ever stops sooner, and no
-        # upper end falls below its lower end
+        # upper end falls below its lower end.  A correction on supp(x)
+        # alone would never lower the upper end: it is infeasible, or its F
+        # is not below the reported upper end
         inst = _lsrp(100, 190, seed, tau=0.02)
         A, c, _, _ = _route(inst)
         rows = []
@@ -120,18 +122,23 @@ class TestLsrpBenchBracket:
             def recorded(gamma, x):
                 lower, upper = bracket(gamma, x)
                 x_f = x + min_norm_least_squares(A, c - A @ x)
-                rows.append((lower, upper, inst.upper_value(x_f)))
+                support = np.flatnonzero(x)
+                x_s = x.copy()
+                x_s[support] += min_norm_least_squares(A[:, support], c - A @ x)
+                rows.append((lower, upper, inst.upper_value(x_f),
+                             _upper_end(instance, A, c, [x_s])))
                 return lower, upper
             return recorded
 
         monkeypatch.setattr(reference, "_dual_bracket", spy)
         up = _upper(inst)
         assert len(rows) == up.f_star_solves
-        for lower, upper, min_norm_upper in rows:
+        for lower, upper, min_norm_upper, supp_upper in rows:
             assert lower <= upper <= min_norm_upper
+            assert supp_upper is None or supp_upper >= upper
         # at every gamma before the stop the min-norm bracket was too wide
         # as well, so it would have taken at least as many solves
-        assert all(mn - lo > _width(inst) for lo, _, mn in rows[:-1])
+        assert all(mn - lo > _width(inst) for lo, _, mn, _ in rows[:-1])
         assert up.f_star_lower <= up.f_star_upper
 
     def test_relaxation_rule_stops_when_the_width_is_out_of_reach(self):

@@ -1,16 +1,27 @@
 """Model layer: oracles, constants, penalized assembly."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import sbopt
 from helpers import central_diff, toy_quadratic_instance
-from sbopt.errors import DimensionMismatch, InvalidErrorBound, NonComposableProx
+from sbopt.adaptive import LadderConfig, apb_apg, ladder_entry_index
+from sbopt.apg import ApgConfig, iteration_budget, pb_apg, pb_apg_sc, sc_budget
+from sbopt.errors import (DimensionMismatch, InvalidErrorBound, InvalidLadder,
+                          InvalidStrongConvexity, NonComposableProx,
+                          Nonconvergence, UnsupportedTerm)
 from sbopt.model import (BilevelInstance, NonsmoothTerm, SmoothTerm,
                          assemble_penalized, lambda_max_gram,
                          least_squares_value_grad, lipschitz_least_squares,
                          lipschitz_logistic, logistic_value_grad, max_affine,
-                         squared_norm_term)
+                         min_norm_problem, squared_norm_term)
+from sbopt.penalty import gamma_star, gamma_total, suboptimality_lower_bound
+from sbopt.prox import compose_prox
+from sbopt.reference import lower_opt_value, upper_opt_value
+from sbopt.subgrad import (Diminishing, Domain, StronglyConvex, SubgradConfig,
+                           assemble_nonsmooth, subgrad_solve)
 
 
 class TestLipschitzCalculators:
@@ -280,3 +291,100 @@ class TestScaledView:
         y = np.array([0.4])
         np.testing.assert_array_equal(obj.grad_step(y), sc.grad_step(y))
         np.testing.assert_array_equal(obj.prox_step(y), sc.prox_step(y))
+
+
+
+def _nan_cases():
+    """(id, call with one NaN argument, the exception and message its check
+    raises for a bad finite value)."""
+    nan = float("nan")
+    inst = toy_quadratic_instance()
+    obj = assemble_penalized(inst, 1.0)
+    cfg = ApgConfig(epsilon=1e-6)
+    x0 = np.zeros(1)
+    l1 = NonsmoothTerm.l1_norm(1.0)
+    l1_lip = dataclasses.replace(l1, lipschitz=1.0)
+    A, b = np.eye(3), np.ones(3)
+    nan_l = dataclasses.replace(obj.phi, lipschitz_grad=nan)
+    return [
+        ("l1_norm", lambda: NonsmoothTerm.l1_norm(nan),
+         ValueError, "l1 weight must be positive"),
+        ("l1_ball", lambda: NonsmoothTerm.indicator_l1_ball(nan),
+         ValueError, "l1 ball radius must be positive"),
+        ("box", lambda: NonsmoothTerm.indicator_box([0.0], [nan]),
+         ValueError, "box bounds must satisfy"),
+        ("compose_prox", lambda: compose_prox(l1, l1, nan),
+         ValueError, "gamma must be positive"),
+        ("alpha", lambda: dataclasses.replace(inst, alpha=nan),
+         InvalidErrorBound, "alpha must be >= 1"),
+        ("rho", lambda: min_norm_problem(A, b, rho=nan),
+         InvalidErrorBound, "rho must be positive"),
+        ("l_f", lambda: min_norm_problem(A, b, l_f=nan),
+         ValueError, "subgrad_diameter must be positive"),
+        ("assemble_penalized", lambda: assemble_penalized(inst, nan),
+         ValueError, "gamma must be positive"),
+        ("scaled", lambda: obj.scaled(nan),
+         ValueError, "scale factor must be positive"),
+        ("apg_epsilon", lambda: pb_apg(obj, x0, ApgConfig(epsilon=nan)),
+         ValueError, "epsilon must be positive"),
+        ("apg_radius", lambda: ApgConfig(epsilon=1e-6, radius_bound=nan),
+         ValueError, "radius_bound must be positive"),
+        ("pb_apg_lipschitz",
+         lambda: pb_apg(dataclasses.replace(obj, phi=nan_l), x0, cfg),
+         ValueError, "positive Lipschitz constant"),
+        ("pb_apg_sc_mu", lambda: pb_apg_sc(obj, nan, x0, cfg),
+         InvalidStrongConvexity, "need 0 < mu <= L_gamma"),
+        ("iteration_budget", lambda: iteration_budget(1.0, 1.0, nan),
+         ValueError, "l_gamma, radius and epsilon must be positive"),
+        ("sc_budget_mu", lambda: sc_budget(1.0, nan, 1.0, 1.0),
+         InvalidStrongConvexity, "need 0 < mu <= l_gamma"),
+        ("sc_budget_radius", lambda: sc_budget(1.0, 0.5, nan, 1.0),
+         ValueError, "radius and epsilon must be positive"),
+        ("apb_apg_nu", lambda: apb_apg(inst, x0, LadderConfig(
+            gamma0=1.0, nu=nan, eta=10.0, epsilon0=1e-6), cfg),
+         InvalidLadder, "need nu > 1 and eta > 1"),
+        ("ladder_gamma0", lambda: LadderConfig(
+            gamma0=nan, nu=20.0, eta=10.0, epsilon0=1e-6),
+         InvalidLadder, "gamma0, epsilon0 and stop_epsilon must be positive"),
+        ("entry_alpha", lambda: ladder_entry_index(
+            nan, 1.0, 1.0, 1.0, 1.0, 20.0, 10.0),
+         InvalidErrorBound, "alpha must be >= 1"),
+        ("entry_eta", lambda: ladder_entry_index(
+            2.0, 1.0, 1.0, 1.0, 1.0, 20.0, nan),
+         InvalidLadder, "need nu > 1 and eta > 1"),
+        ("gamma_star", lambda: gamma_star(nan, 1.0, 1.0, 1e-3),
+         InvalidErrorBound, "alpha must be >= 1"),
+        ("gamma_star_epsilon", lambda: gamma_star(2.0, 1.0, 1.0, nan),
+         InvalidErrorBound, "rho, l_f and epsilon must be positive"),
+        ("gamma_total_beta", lambda: gamma_total(2.0, 1.0, 1.0, 1e-3, nan),
+         InvalidErrorBound, "beta must be positive"),
+        ("lower_bound_beta", lambda: suboptimality_lower_bound(
+            2.0, 1.0, 1.0, 1e-3, nan),
+         InvalidErrorBound, "beta must be positive"),
+        ("diminishing", lambda: Diminishing(nan),
+         ValueError, "radius must be positive"),
+        ("strongly_convex", lambda: StronglyConvex(nan),
+         ValueError, "mu must be positive"),
+        ("assemble_nonsmooth", lambda: assemble_nonsmooth(l1, l1, nan),
+         ValueError, "gamma must be positive"),
+        ("subgrad_lipschitz", lambda: subgrad_solve(
+            dataclasses.replace(assemble_nonsmooth(l1_lip, l1_lip, 1.0),
+                                subgrad_lipschitz=nan),
+            np.zeros(2), SubgradConfig(Diminishing(1.0), 10, Domain.all_space())),
+         UnsupportedTerm, "no subgradient Lipschitz constant"),
+        ("relaxation", lambda: upper_opt_value(inst, 0.0, relaxation=nan),
+         ValueError, "relaxation must be positive"),
+        ("lower_lipschitz", lambda: lower_opt_value(
+            dataclasses.replace(inst, g1=dataclasses.replace(
+                inst.g1, lipschitz_grad=nan))),
+         Nonconvergence, "no smooth part to drive"),
+    ]
+
+
+@pytest.mark.parametrize("case", _nan_cases(), ids=lambda case: case[0])
+def test_nan_argument_fails_its_check(case):
+    # NaN fails every argument check, with the exception and message a bad
+    # finite value gets
+    _, call, error, message = case
+    with pytest.raises(error, match=message):
+        call()

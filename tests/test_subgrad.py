@@ -1,5 +1,6 @@
 """Projected subgradient solver: oracles, feasibility, best-iterate bounds."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 from helpers import SeparableLipschitz
 from sbopt.errors import (InfeasibleStart, InvalidStrongConvexity,
                           UnsupportedTerm)
-from sbopt.model import NonsmoothTerm, max_affine, squared_norm_term
+from sbopt.model import (NonsmoothTerm, assemble_penalized,
+                         elastic_net_problem, max_affine, squared_norm_term)
 from sbopt.subgrad import (Diminishing, Domain, StronglyConvex, SubgradConfig,
                            assemble_nonsmooth, subgrad_solve,
                            subgradient_oracle)
@@ -144,6 +146,25 @@ class TestFeasibilityAndErrors:
                             domain=inst.domain)
         with pytest.raises(InfeasibleStart):
             subgrad_solve(obj, np.full(inst.n, 5.0), cfg)
+
+    def test_smooth_part_rejected(self):
+        # the step uses the f2 and g2 subgradients alone: this run used to
+        # keep x0 = 0 for all 2 000 iterations and report Phi(0) as best
+        rng = np.random.default_rng(0)
+        A = rng.normal(size=(8, 4))
+        penalized = assemble_penalized(
+            elastic_net_problem(A, A @ np.ones(4), tau=0.5), 10.0)
+        obj = dataclasses.replace(penalized, subgrad_lipschitz=100.0)
+        cfg = SubgradConfig(schedule=Diminishing(5.0), max_iters=2000,
+                            domain=Domain.l1_ball(10.0))
+        with pytest.raises(UnsupportedTerm, match="no smooth part"):
+            subgrad_solve(obj, np.zeros(4), cfg)
+        # an assemble_nonsmooth objective and its scaled view still run
+        inst = SeparableLipschitz(13)
+        cfg = SubgradConfig(schedule=Diminishing(4.0), max_iters=10,
+                            domain=inst.domain)
+        for obj in (inst.objective(), inst.objective().scaled(2.0)):
+            subgrad_solve(obj, inst.domain.project(inst.x0), cfg)
 
     def test_missing_lipschitz_rejected(self):
         f2 = NonsmoothTerm.custom(lambda x: 0.0, subgrad_oracle=np.zeros_like)
