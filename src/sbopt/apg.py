@@ -58,7 +58,7 @@ class ApgConfig:
             raise ValueError("epsilon must be positive")
         if self.radius_bound is not None and not self.radius_bound > 0:
             raise ValueError("radius_bound must be positive")
-        if self.record_every < 1:
+        if not self.record_every >= 1:
             raise ValueError("record_every must be a positive integer")
 
 
@@ -318,6 +318,7 @@ def pb_apg_sc(objective: PenalizedObjective, mu: float, x_init: np.ndarray,
     if not np.all(np.isfinite(x_init)):
         raise NonFiniteIterate("x_init is not finite", None)
 
+    mu = min(mu, L)  # the check above lets rounding put mu up to 1e-12 over L
     radius = _default_radius(x_init, config)
     budget = sc_budget(L, mu, radius, config.epsilon)
     beta = (math.sqrt(L) - math.sqrt(mu)) / (math.sqrt(L) + math.sqrt(mu))

@@ -268,7 +268,7 @@ class BilevelInstance:
     lower_opt_value: Optional[float] = None
 
     def __post_init__(self):
-        if self.dim < 1:
+        if not self.dim >= 1:
             raise ValueError("dim must be a positive integer")
         if not self.alpha >= 1.0:
             raise InvalidErrorBound(f"alpha must be >= 1, got {self.alpha}")
@@ -484,7 +484,7 @@ def _logistic_value(t, z) -> float:
 
 def _logistic_grad(A, b, t, z, out=None, mv=np.matmul):
     # sigma(-t) = z / (1 + z) for t >= 0 and 1 / (1 + z) below, as one division
-    s = np.where(t >= 0, z, 1.0)
+    s = np.maximum(z, t < 0)  # z <= 1, so this picks 1 where t < 0
     s /= z + 1.0
     s *= b
     g = mv(A.T, s, out)

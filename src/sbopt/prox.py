@@ -62,7 +62,7 @@ def project_l1_ball(y: np.ndarray, radius: float, out=None) -> np.ndarray:
     u.sort()
     u = u[::-1]
     css = u.cumsum()
-    above = u * np.arange(1, u.size + 1) > css - radius
+    above = u * np.arange(1.0, u.size + 1.0) > css - radius  # no int cast
     k = u.size - 1 - int(above[::-1].argmax())
     p -= (css[k] - radius) / (k + 1)
     np.maximum(p, 0.0, out=p)

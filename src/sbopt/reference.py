@@ -102,11 +102,6 @@ def _lower_objective(instance: BilevelInstance) -> PenalizedObjective:
     return PenalizedObjective(gamma=1.0, phi=instance.g1, psi=psi)
 
 
-# Length of the first segment of the accelerated G* run; later segments
-# double up to ``chunk``.
-FIRST_CHECKPOINT = 100
-
-
 def lower_opt_value(instance: BilevelInstance, tolerance: float = 1e-12,
                     max_iters: int = 10_000_000,
                     chunk: int = 50_000) -> ReferenceReport:
@@ -114,13 +109,15 @@ def lower_opt_value(instance: BilevelInstance, tolerance: float = 1e-12,
 
     Unconstrained least-squares lower levels use the min-norm route and a
     normal-equation residual certificate; anything else runs the accelerated
-    engine with gradient restart in segments of FIRST_CHECKPOINT, twice that,
-    four times that, ... iterations (each at most ``chunk``), every segment
-    restarting the engine from the last iterate.  The gradient-mapping norm
-    is checked after each segment and the run returns as soon as it reaches
-    ``tolerance``, reporting the iterations actually run.  ``max_iters`` is a
-    hard cap (the last segment is cut to fit it); reaching it raises
-    Nonconvergence carrying the best value and its certificate.
+    engine with gradient restart in segments of 1, 2, 4, ... iterations (each
+    at most ``chunk``), every segment restarting the engine from the last
+    iterate.  The gradient-mapping norm is checked after each segment, so
+    after 1, 3, 7, 15, ... iterations, and the run returns as soon as it
+    reaches ``tolerance``, reporting the iterations actually run.  A check
+    costs about one gradient, and the doubling keeps the checks to a log
+    of the run's length.  ``max_iters`` is a hard cap (the last segment is
+    cut to fit it); reaching it raises Nonconvergence carrying the best
+    value and its certificate.
     """
     g1, g2 = instance.g1, instance.g2
     if g1.tag == "least_squares" and g1.payload is not None:
@@ -137,7 +134,7 @@ def lower_opt_value(instance: BilevelInstance, tolerance: float = 1e-12,
         raise Nonconvergence("lower level has no smooth part to drive")
     x = np.zeros(instance.dim)
     total = 0
-    step = min(FIRST_CHECKPOINT, chunk)
+    step = 1
     while total < max_iters:
         segment = min(step, max_iters - total)
         cfg = ApgConfig(epsilon=1e-18, max_iters=segment, step_tolerance=0.0,

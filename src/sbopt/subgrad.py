@@ -102,9 +102,9 @@ class SubgradConfig:
     keep_iterates: bool = False
 
     def __post_init__(self):
-        if self.max_iters < 1:
+        if not self.max_iters >= 1:
             raise ValueError("max_iters must be positive")
-        if self.record_every < 1:
+        if not self.record_every >= 1:
             raise ValueError("record_every must be a positive integer")
 
 

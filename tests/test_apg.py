@@ -284,6 +284,17 @@ class TestPbApgSc:
         assert inst.lower_gap(x_s) < 1e-8
         assert inst.lower_gap(x_a) < 1e-8
 
+    def test_mu_within_the_rounding_slack_runs_at_l(self):
+        # pb_apg_sc admits mu up to L (1 + 1e-12) and runs such a mu as L,
+        # where sc_budget alone rejects anything above L
+        obj = assemble_penalized(toy_quadratic_instance(), 1.0)
+        L = obj.l_gamma
+        cfg = ApgConfig(epsilon=1e-6)
+        x_over, tr_over = pb_apg_sc(obj, L * (1 + 1e-13), np.zeros(1), cfg)
+        x_at, tr_at = pb_apg_sc(obj, L, np.zeros(1), cfg)
+        np.testing.assert_array_equal(x_over, x_at)
+        assert tr_over.total_iterations == tr_at.total_iterations
+
     def test_invalid_mu_rejected(self):
         obj = _plain_objective(lambda x: 0.5 * float(x @ x), lambda x: x.copy(), 1.0)
         with pytest.raises(InvalidStrongConvexity):

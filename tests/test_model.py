@@ -315,6 +315,8 @@ def _nan_cases():
          ValueError, "box bounds must satisfy"),
         ("compose_prox", lambda: compose_prox(l1, l1, nan),
          ValueError, "gamma must be positive"),
+        ("dim", lambda: dataclasses.replace(inst, dim=nan),
+         ValueError, "dim must be a positive integer"),
         ("alpha", lambda: dataclasses.replace(inst, alpha=nan),
          InvalidErrorBound, "alpha must be >= 1"),
         ("rho", lambda: min_norm_problem(A, b, rho=nan),
@@ -329,6 +331,8 @@ def _nan_cases():
          ValueError, "epsilon must be positive"),
         ("apg_radius", lambda: ApgConfig(epsilon=1e-6, radius_bound=nan),
          ValueError, "radius_bound must be positive"),
+        ("apg_record_every", lambda: ApgConfig(epsilon=1e-6, record_every=nan),
+         ValueError, "record_every must be a positive integer"),
         ("pb_apg_lipschitz",
          lambda: pb_apg(dataclasses.replace(obj, phi=nan_l), x0, cfg),
          ValueError, "positive Lipschitz constant"),
@@ -367,6 +371,12 @@ def _nan_cases():
          ValueError, "mu must be positive"),
         ("assemble_nonsmooth", lambda: assemble_nonsmooth(l1, l1, nan),
          ValueError, "gamma must be positive"),
+        ("subgrad_max_iters", lambda: SubgradConfig(
+            Diminishing(1.0), nan, Domain.all_space()),
+         ValueError, "max_iters must be positive"),
+        ("subgrad_record_every", lambda: SubgradConfig(
+            Diminishing(1.0), 10, Domain.all_space(), record_every=nan),
+         ValueError, "record_every must be a positive integer"),
         ("subgrad_lipschitz", lambda: subgrad_solve(
             dataclasses.replace(assemble_nonsmooth(l1_lip, l1_lip, 1.0),
                                 subgrad_lipschitz=nan),

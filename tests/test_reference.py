@@ -105,6 +105,16 @@ class TestLowerOptValue:
                  + 1e-12 * (1.0 + abs(report.g_star)))
         assert abs(report.g_star - inst.lower_value(x)) <= bound
 
+    def test_lrp_bench_certifies_within_sixteen_iterations(self):
+        # one restarted run certifies the lrp-bench instance after 10
+        # iterations, so the check after 15 stops the run, and G* keeps the
+        # bits a 100-iteration run gives
+        report = lower_opt_value(synth_lrp(200, 50, 7))
+        assert report.method == "accelerated_restart"
+        assert report.iterations <= 16
+        assert report.residual_certificate <= 1e-12
+        assert report.g_star.hex() == "0x1.f787f8469c821p-4"
+
     def test_1d_quadratic(self):
         import dataclasses
         inst = dataclasses.replace(toy_quadratic_instance(), lower_opt_value=None)
@@ -136,9 +146,12 @@ class TestLowerOptValue:
             return x, trace
 
         monkeypatch.setattr(reference, "pb_apg", counting_pb_apg)
-        # the second cap cuts the 200-iteration segment after 100 to 50
-        for max_iters, chunk, expected in ((50, 25, [25, 25]),
-                                           (150, 50_000, [100, 50])):
+        # segments double from 1: chunk = 8 caps them in the first case, and
+        # in the second max_iters cuts the 128-iteration segment after 127
+        # to 23
+        for max_iters, chunk, expected in (
+                (50, 8, [1, 2, 4, 8, 8, 8, 8, 8, 3]),
+                (150, 50_000, [1, 2, 4, 8, 16, 32, 64, 23])):
             segments.clear()
             with pytest.raises(Nonconvergence) as err:
                 lower_opt_value(inst, tolerance=1e-30, max_iters=max_iters,
