@@ -431,13 +431,18 @@ def lambda_max_gram(A) -> float:
     n = A.shape[1]
     v = np.ones(n) + np.arange(n) / max(n, 1)
     v /= np.linalg.norm(v)
+    # the same bits as ``A.T @ (A @ v)``, ``np.linalg.norm(w)`` and ``v @ w``
+    # with less call overhead; dot and matmul agree where both sides of A
+    # exceed 1, as in ``_loss_term``
+    mv = np.ndarray.dot if min(A.shape) > 1 else np.matmul
+    At = A.T
     lam = 0.0
     for _ in range(GRAM_MAX_SWEEPS):
-        w = A.T @ (A @ v)
-        nw = np.linalg.norm(w)
+        w = mv(At, mv(A, v))
+        nw = math.sqrt(w.dot(w))
         if nw == 0.0:
             return 0.0
-        lam_new = float(v @ w)
+        lam_new = float(v.dot(w))
         v = w / nw
         if abs(lam_new - lam) <= GRAM_TOL * max(1.0, abs(lam_new)):
             return lam_new

@@ -383,6 +383,27 @@ class TestCli:
         assert rc == 2
         assert "input error: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raw, reason", [
+        (b"+1 1:1\n-1 2:\xe9\n", "line 2: byte 0xe9 is not UTF-8 text"),
+        (b"+1 1:1\n# caf\xe9\n-1 2:1\n", "line 2: byte 0xe9 is not UTF-8"),
+        (b"+1 1:1\n-1 2:x\n-1 2:\xff\n", "line 2: non-numeric feature"),
+        (b"+1 1:1\r\n-1 2:1\r\n+1 1:\xc3", "line 3: byte 0xc3 is not"),
+        (b"+1 99999999999999999999:1\n", "line 1: feature index "
+                                          "99999999999999999999 is past")],
+        ids=["value", "comment", "earlier-line", "crlf-truncated", "int64"])
+    def test_undecodable_or_out_of_range_data_exits_2(self, tmp_path, capsys,
+                                                      raw, reason):
+        # at the parent a UnicodeDecodeError or OverflowError escaped with a
+        # traceback and exit code 1, the code of a failed certificate
+        path = tmp_path / "bad.libsvm"
+        path.write_bytes(raw)
+        rc = cli_main(["--problem", "lrp-libsvm", "--data", str(path),
+                       "--solver", "pb_apg", "--gamma", "1e3"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "input error: " in err and reason in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("problem", ["lrp-libsvm", "lsrp-libsvm"])
     @pytest.mark.parametrize("text, reason", [
         ("+1 1:0.5 2:1\n-1 1:nan\n", "line 2: feature value"),

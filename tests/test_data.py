@@ -76,6 +76,55 @@ class TestParseLibsvm:
         with pytest.raises(ParseError):
             parse_libsvm("+1 9:1", n_features=5)
 
+    @pytest.mark.parametrize("width", [-1, 2.5, float("nan"), "3", 1e9])
+    def test_width_must_be_none_or_a_non_negative_integer(self, width):
+        # at the parent these raised NumPy's ValueError or a TypeError from
+        # np.zeros, and NaN passed every width comparison
+        with pytest.raises(ValueError, match="n_features"):
+            parse_libsvm("", n_features=width)
+        with pytest.raises(ValueError, match="n_features"):
+            parse_libsvm("+1 1:1", n_features=width)
+
+    def test_width_accepts_numpy_integers_and_zero(self):
+        assert parse_libsvm("+1", n_features=np.int64(3)).n_cols == 3
+        assert parse_libsvm("+1\n-1", n_features=0).features.shape == (2, 0)
+
+    @pytest.mark.parametrize("index", ["99999999999999999999",
+                                       str(2 ** 63), str(2 ** 63 + 1)])
+    def test_index_past_int64_is_a_parse_error(self, index):
+        # at the parent an OverflowError from the index buffer, or a
+        # ValueError from np.zeros
+        with pytest.raises(ParseError) as err:
+            parse_libsvm(f"+1 1:1\n-1 2:1 {index}:1\n")
+        assert err.value.line == 2
+        assert f"feature index {index} is past the int64 range" in str(err.value)
+
+    def test_index_past_int64_after_a_width_or_order_error(self):
+        with pytest.raises(ParseError, match="exceeds declared width 5"):
+            parse_libsvm(f"+1 {2 ** 64}:1", n_features=5)
+        with pytest.raises(ParseError, match="not 1-based"):
+            parse_libsvm(f"+1 {-2 ** 64}:1")
+
+    @pytest.mark.parametrize("raw, line", [
+        (b"+1 1:1\n-1 2:\xe9\n", 2), (b"\xff\n", 1),
+        (b"+1 1:1\r-1 2:1\r+1 3:\x80\r", 3),
+        (b"+1 1:1\n" * 9000 + b"\xe9", 9001)],
+        ids=["value", "first-byte", "cr-lines", "past-the-first-chunk"])
+    def test_undecodable_byte_names_its_line(self, tmp_path, raw, line):
+        path = tmp_path / "bad.libsvm"
+        path.write_bytes(raw)
+        with pytest.raises(ParseError) as err:
+            parse_libsvm_path(str(path))
+        assert err.value.line == line and "is not UTF-8 text" in str(err.value)
+
+    def test_malformed_line_before_an_undecodable_byte_comes_first(self,
+                                                                  tmp_path):
+        path = tmp_path / "bad.libsvm"
+        path.write_bytes(b"+1 1:1\n-1 1:1 1:2\n-1 2:\xe9\n")
+        with pytest.raises(ParseError) as err:
+            parse_libsvm_path(str(path))
+        assert err.value.line == 2 and "duplicate" in str(err.value)
+
     def test_label_coercion(self):
         d = parse_libsvm("0 1:1\n1 1:1\n-1 1:1\n+1 1:1",
                          coerce_binary_labels=True)

@@ -1,8 +1,9 @@
-"""The loss helpers, the soft threshold, the L1-ball projection and the
-accelerated engine against frozen copies of their earlier, plainer and
-allocating forms: every output must match bit for bit (compared through
-``tobytes``, so -0.0 and NaN payloads count), and so must every iterate of
-the projected-subgradient and accelerated loops that run on them."""
+"""The loss helpers, the soft threshold, the L1-ball projection, the Gram
+power iteration and the accelerated engine against frozen copies of their
+earlier, plainer and allocating forms: every output must match bit for bit
+(compared through ``tobytes``, so -0.0 and NaN payloads count), and so must
+every iterate of the projected-subgradient and accelerated loops that run on
+them."""
 
 import math
 import os
@@ -22,8 +23,8 @@ from sbopt.model import (SmoothTerm, _least_squares_grad,
                          _least_squares_parts, _logistic_grad,
                          _logistic_parts, _logistic_value,
                          assemble_penalized, least_squares_smooth_term,
-                         least_squares_value_grad, logistic_smooth_term,
-                         logistic_value_grad)
+                         lambda_max_gram, least_squares_value_grad,
+                         logistic_smooth_term, logistic_value_grad)
 from sbopt.reference import lower_opt_value
 from sbopt.subgrad import Diminishing, SubgradConfig, subgrad_solve
 
@@ -149,6 +150,27 @@ def frozen_run(instance, gamma, engine, config):
     return frozen_accelerate(grad_step, prox_step, x0, cap, beta,
                              config.restart, config.step_tolerance,
                              config.keep_iterates)
+
+
+def frozen_lambda_max_gram(A) -> float:
+    A = np.asarray(A, dtype=float)
+    if A.size == 0:
+        return 0.0
+    n = A.shape[1]
+    v = np.ones(n) + np.arange(n) / max(n, 1)
+    v /= np.linalg.norm(v)
+    lam = 0.0
+    for _ in range(10_000):
+        w = A.T @ (A @ v)
+        nw = np.linalg.norm(w)
+        if nw == 0.0:
+            return 0.0
+        lam_new = float(v @ w)
+        v = w / nw
+        if abs(lam_new - lam) <= 1e-12 * max(1.0, abs(lam_new)):
+            return lam_new
+        lam = lam_new
+    return lam
 
 
 def frozen_logistic_term(A, b) -> SmoothTerm:
@@ -441,3 +463,37 @@ class TestAcceleratedEngineIterates:
         assert trace.terminal_reason == "step_tolerance"
         assert (trace.total_iterations, trace.restarts) == (iters, restarts)
         assert _same(x, x_f)
+
+
+def _gram_cases():
+    rng = np.random.default_rng(40)
+    for shape in [(1, 1), (1, 7), (7, 1), (1, 190), (190, 1), (2, 2),
+                  (100, 190), (200, 50), (450, 100)]:
+        yield rng.normal(size=shape) * 12.0
+    for _ in range(60):
+        m, n = int(rng.integers(1, 30)), int(rng.integers(1, 30))
+        yield rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.5)
+    yield (rng.random((450, 100)) < 0.1).astype(float)
+    yield np.zeros((5, 3))
+    yield np.zeros((1, 4))
+    yield np.zeros((0, 3))
+    yield np.zeros((3, 0))
+    yield np.array([[-0.0, 0.0], [0.0, -0.0]])
+    yield np.array([[1e-200, 0.0], [0.0, 1e-200]])
+    yield np.array([[3.0, 4.0]])
+
+
+class TestLambdaMaxGram:
+    def test_bit_identical_to_the_frozen_form(self):
+        for A in _gram_cases():
+            got, want = lambda_max_gram(A), frozen_lambda_max_gram(A)
+            assert type(got) is float
+            assert got.hex() == want.hex(), A.shape
+
+    def test_list_input_and_input_untouched(self):
+        A = np.arange(12.0).reshape(3, 4)
+        before = A.tobytes()
+        assert (lambda_max_gram(A.tolist()).hex()
+                == frozen_lambda_max_gram(A).hex())
+        lambda_max_gram(A)
+        assert A.tobytes() == before
