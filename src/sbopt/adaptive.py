@@ -113,14 +113,10 @@ def _run_ladder(instance: BilevelInstance, x0, ladder: LadderConfig,
         eps_k = ladder.epsilon0 / ladder.eta**k
         objective = assemble_penalized(instance, gamma_k)
         cfg = dataclasses.replace(apg_cfg, epsilon=eps_k, radius_bound=radius)
-        if engine == "apg_sc":
-            mu = objective.strong_convexity
-            x, trace = pb_apg_sc(objective, mu, x, cfg)
-        else:
-            x, trace = pb_apg(objective, x, cfg)
-        g_gap = None
-        if instance.lower_opt_value is not None:
-            g_gap = instance.lower_gap(x)
+        x, trace = (pb_apg_sc(objective, objective.strong_convexity, x, cfg)
+                    if engine == "apg_sc" else pb_apg(objective, x, cfg))
+        g_gap = (None if instance.lower_opt_value is None
+                 else instance.lower_gap(x))
         log.debug("ladder stage %d: gamma=%g, eps=%g, %d iterations, %s, "
                   "G gap %s", k, gamma_k, eps_k, trace.total_iterations,
                   trace.terminal_reason, g_gap)

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidStrongConvexity, NonFiniteIterate
-from .model import PenalizedObjective
+from .model import PenalizedObjective, is_count
 
 
 @dataclass
@@ -58,7 +58,9 @@ class ApgConfig:
             raise ValueError("epsilon must be positive")
         if self.radius_bound is not None and not self.radius_bound > 0:
             raise ValueError("radius_bound must be positive")
-        if not self.record_every >= 1:
+        if self.max_iters is not None and not is_count(self.max_iters):
+            raise ValueError("max_iters must be None or a nonnegative integer")
+        if not is_count(self.record_every, 1):
             raise ValueError("record_every must be a positive integer")
 
 
@@ -197,7 +199,7 @@ def _default_radius(x0, config):
 
 def _accelerate(objective: PenalizedObjective, x: np.ndarray, budget: int,
                 beta: Optional[float], config: ApgConfig, trace: SolverTrace,
-                t0: float):
+                t0: float, certified=None):
     """The accelerated loop shared by both engines, started at x = x_0 with
     x_{-1} = x_0.
 
@@ -205,6 +207,8 @@ def _accelerate(objective: PenalizedObjective, x: np.ndarray, budget: int,
     t_k (1/t_{k-1} - 1) with t_{-1} = t_0 = 1 and t_{k+1} = next_theta(t_k).
     With ``config.restart`` the momentum is reset whenever the composite
     gradient restart test (y_k - x_{k+1}) . (x_{k+1} - x_k) > 0 holds.
+    With restart on, ``certified(k, x_k, y_{k-1} - x_k)`` runs after each
+    iteration k, and a true return ends the run as "certified".
 
     The run allocates its arrays once: x_{k-1}, x_k and x_{k+1} rotate
     through three of them, and y_k, the prox input and the step go into
@@ -249,12 +253,13 @@ def _accelerate(objective: PenalizedObjective, x: np.ndarray, budget: int,
             j = 0
             np.copyto(x_prev, x)
             trace.restarts += 1
-        done = (k + 1 == cap) or (tol > 0.0 and step_norm <= tol)
+        stop = certified is not None and certified(k + 1, x, v)
+        done = stop or (k + 1 == cap) or (tol > 0.0 and step_norm <= tol)
         if (k + 1) % trace.every == 0 or done:
             record(objective, k + 1, x, step_norm, t0)
         if done:
-            if k + 1 < cap:
-                reason = "step_tolerance"
+            if stop or k + 1 < cap:
+                reason = "certified" if stop else "step_tolerance"
             trace.total_iterations = k + 1
             break
     trace.terminal_reason = reason

@@ -86,9 +86,7 @@ def main(argv=None) -> int:
 
     if report.any_solver_error:
         return 3
-    if not report.all_certified:
-        return 1
-    return 0
+    return 0 if report.all_certified else 1
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ dense float matrix, one row per data line, with 0-based columns.
 
 from __future__ import annotations
 
+import io
 import math
 import os
 from array import array
@@ -18,6 +19,7 @@ from typing import Iterable, List, NoReturn, Optional
 import numpy as np
 
 from ..errors import ParseError
+from ..model import is_count
 
 
 @dataclass
@@ -158,7 +160,8 @@ def parse_libsvm(lines: Iterable[str], n_features: Optional[int] = None,
     {0, 1, -1, +1} map onto {-1, +1}.  Raises ParseError with the 1-based
     line number of the first malformed token in file order, and on a label or
     value that is not finite (nan, inf, or a literal past the float range
-    such as 1e400) or an index past the int64 range.
+    such as 1e400) or an index past the int64 range.  A string is split into
+    lines as a file is read: only "\\n", "\\r" and "\\r\\n" end a line.
 
     Lines are read in blocks of ``BLOCK_LINES``.  Each line is split once;
     each block's tokens go through Python's own ``int`` and ``float``, so
@@ -169,11 +172,10 @@ def parse_libsvm(lines: Iterable[str], n_features: Optional[int] = None,
     the dense matrix at once; beyond those and the matrix, a parse holds one
     block's tokens at a time.
     """
-    if n_features is not None and not (
-            isinstance(n_features, (int, np.integer)) and n_features >= 0):
+    if n_features is not None and not is_count(n_features):
         raise ValueError("n_features must be None or an integer >= 0")
     if isinstance(lines, str):
-        lines = lines.splitlines()
+        lines = io.StringIO(lines, newline=None)
     labels = array("d")
     rows, cols, vals = array("q"), array("q"), array("d")
     line_no = 1

@@ -26,7 +26,7 @@ from ..adaptive import LadderConfig, apb_apg, apb_apg_sc
 from ..apg import ApgConfig, gradient_mapping_norm, pb_apg, pb_apg_sc
 from ..errors import ConfigError, InvalidLadder, SboptError, UnsupportedTerm
 from ..model import (BilevelInstance, NonsmoothTerm, assemble_penalized,
-                     elastic_net_problem, logistic_min_norm_problem)
+                     elastic_net_problem, is_count, logistic_min_norm_problem)
 from ..reference import lower_opt_value, upper_opt_value
 from ..subgrad import (Diminishing, Domain, SubgradConfig, assemble_nonsmooth,
                        subgrad_solve, subgradient_oracle)
@@ -204,8 +204,8 @@ def _convert(key: str, value):
 # The range each numeric key must lie in; an unset (None) key is not checked.
 _RANGES = (
     (("m", "n", "max_iters", "record_every", "subgrad_max_iters"),
-     lambda v: v >= 1, "a positive integer"),
-    (("seed",), lambda v: v >= 0, "a nonnegative integer"),
+     lambda v: is_count(v, 1), "a positive integer"),
+    (("seed",), is_count, "a nonnegative integer"),
     (("gamma", "epsilon", "beta", "rho", "lf", "gamma0", "epsilon0",
       "stop_epsilon", "theta", "relaxation"),
      lambda v: 0.0 < v < math.inf, "positive and finite"),
@@ -289,13 +289,9 @@ def _ladder_config(cfg: ExperimentConfig) -> LadderConfig:
 
 
 def _build_instance(cfg: ExperimentConfig) -> BilevelInstance:
-    overrides = {}
-    if cfg.alpha is not None:
-        overrides["alpha"] = cfg.alpha
-    if cfg.rho is not None:
-        overrides["rho"] = cfg.rho
-    if cfg.lf is not None:
-        overrides["subgrad_diameter"] = cfg.lf
+    overrides = {key: value for key, value in (
+        ("alpha", cfg.alpha), ("rho", cfg.rho), ("subgrad_diameter", cfg.lf))
+        if value is not None}
 
     if cfg.problem == "lrp-synth":
         instance = synth_instance("lrp", cfg.m, cfg.n, cfg.seed, theta=cfg.theta)
@@ -375,7 +371,7 @@ def _subgrad_baseline(instance: BilevelInstance, gamma: float, x_ref):
 
 
 def _run_one_solver(name: str, cfg: ExperimentConfig,
-                    instance: BilevelInstance, gamma: float, x_ref=None):
+                    instance: BilevelInstance, gamma: float, x_ref):
     """Returns (x_final, segments) with segments = [(gamma, eps_stage, trace)]."""
     x0 = np.zeros(instance.dim)
     run_eps = cfg.epsilon if cfg.epsilon is not None else 1e-9
@@ -398,8 +394,6 @@ def _run_one_solver(name: str, cfg: ExperimentConfig,
         x, stages = runner(instance, x0, ladder, _apg_config(cfg, cfg.epsilon0))
         return x, [(s.gamma, s.epsilon, s.trace) for s in stages]
     if name == "subgrad":
-        if x_ref is None:
-            x_ref = np.zeros(instance.dim)
         objective, domain, radius = _subgrad_baseline(instance, gamma, x_ref)
         sg_cfg = SubgradConfig(schedule=Diminishing(radius),
                                max_iters=cfg.subgrad_max_iters, domain=domain,

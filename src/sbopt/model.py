@@ -27,6 +27,12 @@ from .errors import (DimensionMismatch, InvalidErrorBound, MissingLowerOpt,
                      UnsupportedTerm)
 
 
+def is_count(value, least: int = 0) -> bool:
+    """Whether ``value`` is an int or NumPy integer, not a bool, >= least."""
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, bool) and value >= least)
+
+
 # ---------------------------------------------------------------------------
 # terms
 
@@ -268,7 +274,7 @@ class BilevelInstance:
     lower_opt_value: Optional[float] = None
 
     def __post_init__(self):
-        if not self.dim >= 1:
+        if not is_count(self.dim, 1):
             raise ValueError("dim must be a positive integer")
         if not self.alpha >= 1.0:
             raise InvalidErrorBound(f"alpha must be >= 1, got {self.alpha}")

@@ -144,8 +144,7 @@ def certify(instance: BilevelInstance, x: np.ndarray, plan: PenaltyPlan,
     g_gap = instance.lower_gap(x)
     f_value = instance.upper_value(x)
     g_ok = g_gap <= plan.guaranteed_lower_gap + tol
-    f_gap = None
-    f_ok = None
+    f_gap = f_ok = None
     if f_star is not None:
         f_gap = f_value - f_star
         f_ok = (plan.lower_bound_F - tol) <= f_gap <= (plan.epsilon + tol)

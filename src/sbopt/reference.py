@@ -3,8 +3,8 @@ upper-level optimum F* over the lower solution set, and min-norm least
 squares.
 
 G* for a least-squares lower level comes from the minimum-norm solution of
-the normal equations; composite lower levels fall back to a long accelerated
-run with gradient restart (O'Donoghue and Candes, 2015), certified by the
+the normal equations; composite lower levels fall back to one accelerated
+run with gradient restart (O'Donoghue and Candes, 2015), stopped by its
 gradient-mapping norm.  F* is approximated by solving the penalized problem
 at an escalating penalty until the residual meets a stated relaxation, or,
 for least-squares lower levels, until a dual/feasible bracket on F* is
@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import logging
 import math
+import time
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .apg import ApgConfig, gradient_mapping_norm, pb_apg, pb_apg_sc
+from .apg import (ApgConfig, SolverTrace, _accelerate, gradient_mapping_norm,
+                  pb_apg, pb_apg_sc)
 from .errors import Nonconvergence, RelaxationUnreachable
 from .model import (BilevelInstance, NonsmoothTerm, PenalizedObjective,
                     assemble_penalized)
@@ -87,15 +89,6 @@ def min_norm_least_squares(A, b) -> np.ndarray:
     return x
 
 
-def _restarted_run(objective: PenalizedObjective, x, cfg: ApgConfig):
-    """One run of the accelerated engine that fits the objective: pb_apg_sc
-    when it is strongly convex, else pb_apg."""
-    mu = objective.strong_convexity
-    if mu > 0:
-        return pb_apg_sc(objective, mu, x, cfg)
-    return pb_apg(objective, x, cfg)
-
-
 def _lower_objective(instance: BilevelInstance) -> PenalizedObjective:
     """The lower level g1 + g2 alone, packaged for the accelerated engines."""
     psi = compose_prox(NonsmoothTerm.zero(), instance.g2, 1.0)
@@ -108,16 +101,13 @@ def lower_opt_value(instance: BilevelInstance, tolerance: float = 1e-12,
     """Lower-level optimal value G* with a convergence certificate.
 
     Unconstrained least-squares lower levels use the min-norm route and a
-    normal-equation residual certificate; anything else runs the accelerated
-    engine with gradient restart in segments of 1, 2, 4, ... iterations (each
-    at most ``chunk``), every segment restarting the engine from the last
-    iterate.  The gradient-mapping norm is checked after each segment, so
-    after 1, 3, 7, 15, ... iterations, and the run returns as soon as it
-    reaches ``tolerance``, reporting the iterations actually run.  A check
-    costs about one gradient, and the doubling keeps the checks to a log
-    of the run's length.  ``max_iters`` is a hard cap (the last segment is
-    cut to fit it); reaching it raises Nonconvergence carrying the best
-    value and its certificate.
+    normal-equation residual certificate; anything else is one accelerated
+    run with gradient restart from zero, which stops at the first iterate
+    whose gradient-mapping norm is at most ``tolerance``.  That norm costs a
+    gradient, so it is computed, and logged, at checkpoints 1, 2, 4, ...
+    spaced at most ``chunk`` apart, and where the free L||y_k - x_{k+1}||,
+    the norm at y_k, meets ``tolerance``.  Reaching ``max_iters`` raises
+    Nonconvergence with the last value and its certificate.
     """
     g1, g2 = instance.g1, instance.g2
     if g1.tag == "least_squares" and g1.payload is not None:
@@ -132,29 +122,33 @@ def lower_opt_value(instance: BilevelInstance, tolerance: float = 1e-12,
     objective = _lower_objective(instance)
     if not objective.phi.lipschitz_grad > 0:
         raise Nonconvergence("lower level has no smooth part to drive")
-    x = np.zeros(instance.dim)
-    total = 0
-    step = 1
-    while total < max_iters:
-        segment = min(step, max_iters - total)
-        cfg = ApgConfig(epsilon=1e-18, max_iters=segment, step_tolerance=0.0,
-                        restart=True, record_every=segment)
-        x, trace = _restarted_run(objective, x, cfg)
-        total += max(trace.total_iterations, 1)
-        step = min(2 * step, chunk)
+    checkpoint, gm = 1, math.inf
+
+    def certified(k, x, y_step):
+        nonlocal checkpoint, gm
+        if k >= checkpoint:
+            checkpoint = k + min(k, chunk)
+        elif objective.l_gamma * math.sqrt(y_step.dot(y_step)) > tolerance:
+            return False
         gm = gradient_mapping_norm(objective, x)
         log.debug("G* checkpoint: %d iterations, gradient-mapping norm %.3g",
-                  total, gm)
-        if gm <= tolerance:
-            return ReferenceReport(g_star=instance.lower_value(x), f_star=None,
-                                   method="accelerated_restart",
-                                   residual_certificate=gm, x=x,
-                                   iterations=total)
-    gm = gradient_mapping_norm(objective, x)
-    log.warning("G* reference run hit its %d-iteration cap", max_iters)
-    raise Nonconvergence(
-        f"lower-level reference run hit the {max_iters}-iteration cap",
-        best_value=instance.lower_value(x), certificate=gm)
+                  k, gm)
+        return gm <= tolerance
+
+    x, trace = _accelerate(objective, np.zeros(instance.dim), max_iters, None,
+                           ApgConfig(epsilon=1e-18, restart=True),
+                           SolverTrace(every=max_iters), time.perf_counter(),
+                           certified)
+    if trace.terminal_reason != "certified":
+        log.warning("G* reference run hit its %d-iteration cap", max_iters)
+        raise Nonconvergence(
+            f"lower-level reference run hit the {max_iters}-iteration cap",
+            best_value=instance.lower_value(x),
+            certificate=gradient_mapping_norm(objective, x))
+    return ReferenceReport(g_star=instance.lower_value(x), f_star=None,
+                           method="accelerated_restart", x=x,
+                           residual_certificate=gm,
+                           iterations=trace.total_iterations)
 
 
 # A point x counts as feasible for {x : A x = c} when ||A x - c|| is at
@@ -251,7 +245,9 @@ def upper_opt_value(instance: BilevelInstance, g_star: float,
         cfg = ApgConfig(epsilon=1e-18, max_iters=max_iters_per_solve,
                         step_tolerance=STEP_TOLERANCE, restart=True,
                         record_every=max_iters_per_solve)
-        x, trace = _restarted_run(objective, x, cfg)
+        mu = objective.strong_convexity
+        x, trace = (pb_apg_sc(objective, mu, x, cfg) if mu > 0
+                    else pb_apg(objective, x, cfg))
         solves += 1
         iterations += trace.total_iterations
         if trace.terminal_reason == "max_iters":

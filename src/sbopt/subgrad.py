@@ -21,7 +21,7 @@ import numpy as np
 from .apg import SolverTrace, _step_norm
 from .errors import (InfeasibleStart, InvalidStrongConvexity,
                      UnsupportedTerm)
-from .model import NonsmoothTerm, PenalizedObjective, SmoothTerm
+from .model import NonsmoothTerm, PenalizedObjective, SmoothTerm, is_count
 from .prox import ProxSpec, penalized_sum
 
 
@@ -102,9 +102,9 @@ class SubgradConfig:
     keep_iterates: bool = False
 
     def __post_init__(self):
-        if not self.max_iters >= 1:
+        if not is_count(self.max_iters, 1):
             raise ValueError("max_iters must be positive")
-        if not self.record_every >= 1:
+        if not is_count(self.record_every, 1):
             raise ValueError("record_every must be a positive integer")
 
 

@@ -65,6 +65,19 @@ class TestConfigValidation:
             build_config({**FAST, "gamma": "not-a-number"})
         assert "gamma" in str(err.value)
 
+    @pytest.mark.parametrize("key", ["m", "n", "max_iters", "record_every",
+                                     "subgrad_max_iters", "seed"])
+    @pytest.mark.parametrize("value", [1.5, 7.0, True, -1])
+    def test_count_keys_take_integers_only(self, key, value):
+        with pytest.raises(ConfigError) as err:
+            build_config({**FAST, key: value})
+        assert key in str(err.value)
+
+    def test_count_keys_take_numpy_integers(self):
+        cfg = build_config({**FAST, "m": np.int64(40), "n": np.int32(10),
+                            "seed": np.int64(0), "max_iters": np.uint32(50)})
+        assert (cfg.m, cfg.n, cfg.seed, cfg.max_iters) == (40, 10, 0, 50)
+
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
             build_config({"preset": "nope"})

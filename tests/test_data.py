@@ -76,7 +76,7 @@ class TestParseLibsvm:
         with pytest.raises(ParseError):
             parse_libsvm("+1 9:1", n_features=5)
 
-    @pytest.mark.parametrize("width", [-1, 2.5, float("nan"), "3", 1e9])
+    @pytest.mark.parametrize("width", [-1, 2.5, float("nan"), "3", 1e9, True])
     def test_width_must_be_none_or_a_non_negative_integer(self, width):
         # at the parent these raised NumPy's ValueError or a TypeError from
         # np.zeros, and NaN passed every width comparison
@@ -124,6 +124,28 @@ class TestParseLibsvm:
         with pytest.raises(ParseError) as err:
             parse_libsvm_path(str(path))
         assert err.value.line == 2 and "duplicate" in str(err.value)
+
+    @pytest.mark.parametrize("sep", ["\n", "\r", "\r\n", "\x0b", "\x0c",
+                                     "\x1c", "\x1d", "\x1e", "\x85",
+                                     "\u2028", "\u2029"])
+    def test_string_and_file_split_lines_alike(self, tmp_path, sep):
+        # only \n, \r and \r\n end a line, in a string as in a file; any
+        # other separator joins the two rows into one malformed line 1
+        text = f"+1 1:1{sep}-1 2:1\n"
+        path = tmp_path / "sep.libsvm"
+        path.write_bytes(text.encode("utf-8"))
+        results = []
+        for parse, source in ((parse_libsvm, text),
+                              (parse_libsvm_path, str(path))):
+            try:
+                d = parse(source)
+                results.append((d.features.tolist(), d.labels.tolist()))
+            except ParseError as exc:
+                results.append(exc.line)
+        assert results[0] == results[1]
+        want = (([[1.0, 0.0], [0.0, 1.0]], [1.0, -1.0])
+                if sep in ("\n", "\r", "\r\n") else 1)
+        assert results[0] == want
 
     def test_label_coercion(self):
         d = parse_libsvm("0 1:1\n1 1:1\n-1 1:1\n+1 1:1",

@@ -391,6 +391,44 @@ def _nan_cases():
     ]
 
 
+def _count_cases():
+    inst = toy_quadratic_instance()
+    everywhere = Domain.all_space()
+    return [
+        ("dim", lambda v: dataclasses.replace(inst, dim=v), 1,
+         "dim must be a positive integer"),
+        ("apg_max_iters", lambda v: ApgConfig(epsilon=1e-6, max_iters=v), 0,
+         "max_iters must be None or a nonnegative integer"),
+        ("apg_record_every", lambda v: ApgConfig(epsilon=1e-6, record_every=v),
+         1, "record_every must be a positive integer"),
+        ("subgrad_max_iters",
+         lambda v: SubgradConfig(Diminishing(1.0), v, everywhere), 1,
+         "max_iters must be positive"),
+        ("subgrad_record_every", lambda v: SubgradConfig(
+            Diminishing(1.0), 10, everywhere, record_every=v), 1,
+         "record_every must be a positive integer"),
+    ]
+
+
+@pytest.mark.parametrize("case", _count_cases(), ids=lambda case: case[0])
+def test_counts_take_integers_only(case):
+    # a float, even a whole one, a bool or a value below the least count
+    # fails the check, where 2.5 used to pass; NumPy integers pass
+    _, make, least, message = case
+    for bad in (2.5, float(least + 1), True, least - 1, -3):
+        with pytest.raises(ValueError, match=message):
+            make(bad)
+    for good in (least, least + 2, np.int64(least + 1), np.int32(least + 3)):
+        make(good)
+
+
+def test_integer_max_iters_runs_that_many_iterations():
+    obj = assemble_penalized(toy_quadratic_instance(), 1.0)
+    _, trace = pb_apg(obj, np.zeros(1),
+                      ApgConfig(epsilon=1e-6, max_iters=np.int64(7)))
+    assert trace.total_iterations == 7
+
+
 @pytest.mark.parametrize("case", _nan_cases(), ids=lambda case: case[0])
 def test_nan_argument_fails_its_check(case):
     # NaN fails every argument check, with the exception and message a bad

@@ -106,9 +106,8 @@ class TestLowerOptValue:
         assert abs(report.g_star - inst.lower_value(x)) <= bound
 
     def test_lrp_bench_certifies_within_sixteen_iterations(self):
-        # one restarted run certifies the lrp-bench instance after 10
-        # iterations, so the check after 15 stops the run, and G* keeps the
-        # bits a 100-iteration run gives
+        # one restarted run certifies the lrp-bench instance after 11
+        # iterations, and G* keeps the bits a 100-iteration run gives
         report = lower_opt_value(synth_lrp(200, 50, 7))
         assert report.method == "accelerated_restart"
         assert report.iterations <= 16
@@ -121,10 +120,10 @@ class TestLowerOptValue:
         report = lower_opt_value(inst, tolerance=1e-12)
         assert abs(report.g_star) <= 1e-15
 
-    def test_iteration_cap_raises_nonconvergence(self, monkeypatch):
+    def test_iteration_cap_raises_nonconvergence(self, caplog):
         import dataclasses
+        import logging
 
-        import sbopt.reference as reference
         from sbopt.errors import Nonconvergence
         from sbopt.model import SmoothTerm
         rng = np.random.default_rng(8)
@@ -138,27 +137,89 @@ class TestLowerOptValue:
                         float(np.linalg.eigvalsh(Q)[-1]))
         inst = dataclasses.replace(toy_quadratic_instance(), lower_opt_value=None)
         inst = dataclasses.replace(inst, dim=4, g1=g1)
-        segments = []
-
-        def counting_pb_apg(objective, x0, config, _run=reference.pb_apg):
-            x, trace = _run(objective, x0, config)
-            segments.append(trace.total_iterations)
-            return x, trace
-
-        monkeypatch.setattr(reference, "pb_apg", counting_pb_apg)
-        # segments double from 1: chunk = 8 caps them in the first case, and
-        # in the second max_iters cuts the 128-iteration segment after 127
-        # to 23
+        caplog.set_level(logging.DEBUG, logger="sbopt.reference")
+        # at tolerance 1e-30 the free pre-test never fires, so the log shows
+        # the checkpoints alone: they double from 1, chunk = 8 caps their
+        # spacing in the first case, and the cap ends both runs off one
         for max_iters, chunk, expected in (
-                (50, 8, [1, 2, 4, 8, 8, 8, 8, 8, 3]),
-                (150, 50_000, [1, 2, 4, 8, 16, 32, 64, 23])):
-            segments.clear()
+                (50, 8, [1, 2, 4, 8, 16, 24, 32, 40, 48]),
+                (150, 50_000, [1, 2, 4, 8, 16, 32, 64, 128])):
+            caplog.clear()
             with pytest.raises(Nonconvergence) as err:
                 lower_opt_value(inst, tolerance=1e-30, max_iters=max_iters,
                                 chunk=chunk)
             assert err.value.best_value is not None
             assert err.value.certificate is not None
-            assert segments == expected
+            checks = [int(r.getMessage().split()[2]) for r in caplog.records
+                      if r.getMessage().startswith("G* checkpoint")]
+            assert checks == expected
+
+    def test_accelerated_route_is_one_engine_call(self, monkeypatch):
+        import sbopt.reference as reference
+        calls = []
+
+        def counting_accelerate(*args, _run=reference._accelerate):
+            x, trace = _run(*args)
+            calls.append(trace.terminal_reason)
+            return x, trace
+
+        monkeypatch.setattr(reference, "_accelerate", counting_accelerate)
+        for inst in (synth_lrp(200, 50, 7), _sparse_logistic(0)):
+            calls.clear()
+            report = lower_opt_value(inst)
+            assert report.method == "accelerated_restart"
+            assert calls == ["certified"]
+
+
+def _sparse_logistic(s):
+    """Logistic loss on a 100x30 0/1 matrix of density 0.1, labels from a
+    noisy linear rule, on an L1 ball of radius 5."""
+    from sbopt.model import logistic_min_norm_problem
+    rng = np.random.default_rng(200 + s)
+    A = (rng.random((100, 30)) < 0.1).astype(float)
+    w = rng.normal(size=30)
+    b = np.where(A @ w + 0.3 * rng.normal(size=100) >= 0, 1.0, -1.0)
+    return logistic_min_norm_problem(A, b, l1_radius=5.0)
+
+
+def _ls_l1_ball(i, m, n, r):
+    from sbopt.model import min_norm_problem
+    rng = np.random.default_rng(100 + i)
+    return min_norm_problem(rng.normal(size=(m, n)), rng.normal(size=m),
+                            l1_radius=r)
+
+
+# (name, instance builder, iterations of one uninterrupted restarted run to
+# the 1e-12 certificate)
+_G_STAR_SWEEP = (
+    [(f"lrp200x50/s{s}", lambda s=s: synth_lrp(200, 50, s), it)
+     for s, it in enumerate((13, 12, 13, 12, 13, 12, 12, 11, 13, 12))]
+    + [(f"ls_l1ball/{m}x{n}/r{r}",
+        lambda i=i, m=m, n=n, r=r: _ls_l1_ball(i, m, n, r), it)
+       for i, (m, n, r, it) in enumerate(
+           ((40, 20, 1.0, 49), (40, 20, 0.3, 50), (20, 40, 1.0, 121),
+            (20, 40, 0.3, 116), (60, 30, 2.0, 79), (30, 60, 0.5, 151)))]
+    + [(f"sparse_logistic/s{s}", lambda s=s: _sparse_logistic(s), it)
+       for s, it in enumerate((63, 86, 71, 74, 64, 65))])
+
+
+@pytest.mark.parametrize("build, single_run", [c[1:] for c in _G_STAR_SWEEP],
+                         ids=[c[0] for c in _G_STAR_SWEEP])
+def test_g_star_sweep_stops_with_one_run(build, single_run):
+    from sbopt.apg import ApgConfig, pb_apg
+    from sbopt.reference import _lower_objective
+    inst = build()
+    report = lower_opt_value(inst)
+    assert report.method == "accelerated_restart"
+    assert report.iterations <= single_run
+    assert report.residual_certificate <= 1e-12
+    x, _ = pb_apg(_lower_objective(inst), np.zeros(inst.dim),
+                  ApgConfig(epsilon=1e-18, max_iters=2_000, restart=True,
+                            record_every=2_000))
+    bound = (2.0 * (1.0 + np.linalg.norm(report.x))
+             * report.residual_certificate
+             + 1e-12 * (1.0 + abs(report.g_star)))
+    assert abs(report.g_star - inst.lower_value(x)) <= bound
 
 
 class TestUpperOptValue:
