@@ -56,8 +56,8 @@ class ApgConfig:
     def __post_init__(self):
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if self.radius_bound is not None and not self.radius_bound > 0:
-            raise ValueError("radius_bound must be positive")
+        if not (self.radius_bound is None or 0 < self.radius_bound < math.inf):
+            raise ValueError("radius_bound must be positive and finite")
         if self.max_iters is not None and not is_count(self.max_iters):
             raise ValueError("max_iters must be None or a nonnegative integer")
         if not is_count(self.record_every, 1):
@@ -144,19 +144,23 @@ def next_theta(theta: float) -> float:
 
 
 def iteration_budget(l_gamma: float, radius: float, epsilon: float) -> int:
-    """Smallest K >= 0 with 2*l_gamma*radius^2/(K+1)^2 <= epsilon."""
+    """Smallest K >= 0 with c/(K+1)^2 <= epsilon, c = 2*l_gamma*radius^2;
+    ValueError when c or c/epsilon overflows."""
     if not (l_gamma > 0 and radius > 0 and epsilon > 0):
         raise ValueError("l_gamma, radius and epsilon must be positive")
+    c = 2.0 * l_gamma * radius * radius
+    if not math.isfinite(c / epsilon):
+        raise ValueError("the iteration budget is not finite")
     v = radius * math.sqrt(2.0 * l_gamma / epsilon)
     k = max(0, math.floor(v) - 1)
-    while 2.0 * l_gamma * radius * radius / ((k + 1) * (k + 1)) > epsilon:
+    while c / ((k + 1) * (k + 1)) > epsilon:
         k += 1
     return k
 
 
 def sc_budget(l_gamma: float, mu: float, radius: float, epsilon: float) -> int:
     """Smallest k >= 0 with ((l_gamma+mu)/2) * radius^2 * (1-sqrt(mu/l_gamma))^k
-    <= epsilon."""
+    <= epsilon; ValueError when float rounding leaves no finite k."""
     if not 0 < mu <= l_gamma:
         raise InvalidStrongConvexity(
             f"need 0 < mu <= l_gamma, got mu={mu}, l_gamma={l_gamma}")
@@ -168,6 +172,8 @@ def sc_budget(l_gamma: float, mu: float, radius: float, epsilon: float) -> int:
     q = 1.0 - math.sqrt(mu / l_gamma)
     if q <= 0.0:
         return 1
+    if not (q < 1.0 and epsilon / c > 0.0):
+        raise ValueError("the iteration budget is not finite")
     k = max(0, math.floor(math.log(epsilon / c) / math.log(q)))
     while c * q**k > epsilon:
         k += 1

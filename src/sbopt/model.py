@@ -411,8 +411,8 @@ def assemble_penalized(instance: BilevelInstance, gamma: float) -> PenalizedObje
     combined prox.  The objective is linked to ``instance``, so traces report
     F, and lower-level residuals once the instance's G* is available.
     """
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < math.inf:
+        raise ValueError("gamma must be positive and finite")
     phi = _combine_smooth(instance.f1, instance.g1, gamma)
     psi = _prox.compose_prox(instance.f2, instance.g2, gamma)
     return PenalizedObjective(gamma=gamma, phi=phi, psi=psi, instance=instance)

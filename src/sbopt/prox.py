@@ -112,8 +112,8 @@ def compose_prox(f2, g2, gamma: float) -> ProxSpec:
     indicator (soft threshold then clamp); box + box (intersection); L1 ball
     + L1 ball (smaller radius).  Indicator parts are unaffected by gamma.
     """
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < math.inf:
+        raise ValueError("gamma must be positive and finite")
     kinds = (f2.kind, g2.kind)
 
     prox = None

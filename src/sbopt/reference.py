@@ -2,8 +2,8 @@
 upper-level optimum F* over the lower solution set, and min-norm least
 squares.
 
-G* for a least-squares lower level comes from the minimum-norm solution of
-the normal equations; composite lower levels fall back to one accelerated
+G* for a least-squares lower level comes from the minimum-norm solution, by
+one eigendecomposition; composite lower levels fall back to one accelerated
 run with gradient restart (O'Donoghue and Candes, 2015), stopped by its
 gradient-mapping norm.  F* is approximated by solving the penalized problem
 at an escalating penalty until the residual meets a stated relaxation, or,
@@ -25,12 +25,11 @@ from .apg import (ApgConfig, SolverTrace, _accelerate, gradient_mapping_norm,
                   pb_apg, pb_apg_sc)
 from .errors import Nonconvergence, RelaxationUnreachable
 from .model import (BilevelInstance, NonsmoothTerm, PenalizedObjective,
-                    assemble_penalized)
+                    assemble_penalized, is_count)
 from .prox import compose_prox, prox_l1
 
 log = logging.getLogger(__name__)
 
-MIN_NORM_TOL = 1e-13
 GROWTH = 10.0
 STEP_TOLERANCE = 1e-12
 
@@ -54,39 +53,29 @@ class ReferenceReport:
     f_star_iterations: int = 0
 
 
-def min_norm_least_squares(A, b) -> np.ndarray:
-    """Minimum-Euclidean-norm minimizer of ||Ax - b||.
-
-    Conjugate gradient on the normal equations A'A x = A'b started at zero;
-    iterates stay in the row space of A, so the limit is the min-norm
-    solution even for rank-deficient A.
-    """
+def _min_norm_solver(A):
+    """r -> the minimum-norm minimizer of ||A x - r||, from one eigh of the
+    smaller Gram matrix: A'U diag(1/lam) U'r for AA' = U diag(lam) U' when
+    m <= n, else V diag(1/lam) V'A'r for A'A.  Eigenvalues at or below
+    max(m, n) eps lam_max, the Gram spectrum's rounding level, count as
+    zero: singular values under sqrt(max(m, n) eps) sigma_max are cut.
+    Matrix-vector products and a cut counted in Python keep its peak-RSS
+    cost to LAPACK's 1.5 MB; matrix products page in 0.3 MB more."""
     A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n = A.shape[1]
-    g = A.T @ b
-    x = np.zeros(n)
-    gnorm = float(np.linalg.norm(g))
-    if gnorm == 0.0:
-        return x
-    r = g.copy()
-    p = r.copy()
-    rs = float(r @ r)
-    threshold = MIN_NORM_TOL * (1.0 + gnorm)
-    for _ in range(10 * n + 100):
-        if math.sqrt(rs) <= threshold:
-            break
-        Ap = A.T @ (A @ p)
-        pAp = float(p @ Ap)
-        if pAp <= 0.0:
-            break
-        alpha = rs / pAp
-        x = x + alpha * p
-        r = r - alpha * Ap
-        rs_new = float(r @ r)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return x
+    m, n = A.shape
+    B = A if m <= n else A.T
+    lam, U = np.linalg.eigh(np.array([B @ row for row in B]))
+    cut = max(m, n) * np.finfo(float).eps * lam.max(initial=0.0)
+    k = sum(v <= cut for v in lam.tolist())  # lam ascends
+    U, s = U[:, k:], 1.0 / lam[k:]
+    if m <= n:
+        return lambda r: A.T @ (U @ (s * (U.T @ r)))
+    return lambda r: U @ (s * (U.T @ (A.T @ r)))
+
+
+def min_norm_least_squares(A, b) -> np.ndarray:
+    """Minimum-norm minimizer of ||Ax - b||, as ``_min_norm_solver`` finds it."""
+    return _min_norm_solver(A)(b)
 
 
 def _lower_objective(instance: BilevelInstance) -> PenalizedObjective:
@@ -179,29 +168,30 @@ def _dual_bracket(inst: BilevelInstance):
     S = the m coordinates of largest |A'lambda|, which hold supp(x) when it
     has at most m nonzeros: at the penalized minimizer |A'lambda| =
     tau |x| + w > w on supp(x) and <= w off it.  A point counts only when
-    its residual is at rounding level."""
+    its residual is at rounding level.  One decomposition of A gives x_hat
+    and every dense correction.  The m coordinates are taken in increasing
+    order: the same column set in another order rounds differently."""
     f1, g1, w = inst.f1, inst.g1, inst.f2.l1_weight
     if (f1.tag != "squared_norm" or g1.tag != "least_squares" or w is None
             or inst.g2.l1_weight != 0.0 or not f1.payload[0] > 0.0):
         return None
     A, b = g1.payload
     m = A.shape[0]
-    c, tau = A @ min_norm_least_squares(A, b), f1.payload[0]
-
-    def corrected(x, r, support):
-        x_f = x.copy()
-        x_f[support] += min_norm_least_squares(A[:, support], r)
-        return x_f
+    solve = _min_norm_solver(A)
+    c, tau = A @ solve(b), f1.payload[0]
 
     def bracket(gamma, x):
         r = c - A @ x
         lam = (gamma / m) * r
         v = A.T @ lam
         u = prox_l1(v, w)
-        supports = (slice(None), np.argsort(np.abs(v))[-m:])
-        points = [corrected(x, r, s) for s in supports]
+        # a mask keeps A's column order without paging in NumPy's sort
+        top = np.zeros(x.size, dtype=bool)
+        top[np.argsort(np.abs(v))[-m:]] = True
+        sparse = x.copy()
+        sparse[top] += min_norm_least_squares(A[:, top], r)
         return (float(lam @ c) - float(u @ u) / (2.0 * tau),
-                _upper_end(inst, A, c, points))
+                _upper_end(inst, A, c, [x + solve(r), sparse]))
     return bracket
 
 
@@ -232,6 +222,8 @@ def upper_opt_value(instance: BilevelInstance, g_star: float,
     """
     if not relaxation > 0:
         raise ValueError("relaxation must be positive")
+    if not is_count(max_iters_per_solve, 1):
+        raise ValueError("max_iters_per_solve must be a positive integer")
     inst = instance.with_lower_opt_value(g_star)
     bracket = _dual_bracket(inst)
     width = (inst.subgrad_diameter

@@ -129,8 +129,8 @@ def assemble_nonsmooth(f2: NonsmoothTerm, g2: NonsmoothTerm, gamma: float,
     """Penalized objective f2 + gamma*g2 in subgradient mode: no smooth part,
     no prox requirement, l_gamma = l_f2 + gamma*l_g2 from the term constants.
     A given ``instance`` is linked, so traces report its F and G - G*."""
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < math.inf:
+        raise ValueError("gamma must be positive and finite")
     if f2.lipschitz is None or g2.lipschitz is None:
         raise UnsupportedTerm("subgradient mode needs Lipschitz constants on both terms")
     psi = ProxSpec(f2=f2, g2=g2, gamma=gamma, prox=None)

@@ -105,6 +105,16 @@ class TestLsrpBenchBracket:
         assert (up.f_star_solves, up.f_star_iterations) == (1, 7007)
         assert up.f_star_lower <= up.f_star_upper
 
+    # (f_star_solves, f_star_iterations) per generator seed, frozen: how the
+    # min-norm corrections round must not change where the escalation stops
+    ESCALATIONS = {
+        3: (1, 2895), 4: (1, 7007), 5: (1, 3127), 6: (2, 9973),
+        7: (1, 3206), 8: (1, 4432), 9: (2, 6287), 10: (1, 4489),
+        11: (2, 7329), 12: (1, 4048), 13: (2, 5000), 14: (1, 3887),
+        15: (1, 2968), 16: (1, 3151), 17: (1, 3455), 18: (1, 6158),
+        19: (1, 3902), 20: (1, 3136), 21: (2, 5022), 22: (1, 2924),
+    }
+
     @pytest.mark.parametrize("seed", range(3, 23))
     def test_support_corrections_never_cost_a_solve(self, seed, monkeypatch):
         # record each gamma's bracket next to the upper end of the min-norm
@@ -133,6 +143,8 @@ class TestLsrpBenchBracket:
         monkeypatch.setattr(reference, "_dual_bracket", spy)
         up = _upper(inst)
         assert len(rows) == up.f_star_solves
+        assert (up.f_star_solves, up.f_star_iterations) == (
+            self.ESCALATIONS[seed])
         for lower, upper, min_norm_upper, supp_upper in rows:
             assert lower <= upper <= min_norm_upper
             assert supp_upper is None or supp_upper >= upper

@@ -295,9 +295,9 @@ class TestScaledView:
 
 
 def _nan_cases():
-    """(id, call with one NaN argument, the exception and message its check
-    raises for a bad finite value)."""
-    nan = float("nan")
+    """(id, call with one NaN, infinite or overflowing argument, the
+    exception and message its check raises for a bad finite value)."""
+    nan, inf = float("nan"), float("inf")
     inst = toy_quadratic_instance()
     obj = assemble_penalized(inst, 1.0)
     cfg = ApgConfig(epsilon=1e-6)
@@ -384,6 +384,33 @@ def _nan_cases():
          UnsupportedTerm, "no subgradient Lipschitz constant"),
         ("relaxation", lambda: upper_opt_value(inst, 0.0, relaxation=nan),
          ValueError, "relaxation must be positive"),
+        ("max_iters_per_solve",
+         lambda: upper_opt_value(inst, 0.0, max_iters_per_solve=0),
+         ValueError, "max_iters_per_solve must be a positive integer"),
+        ("apg_radius_inf", lambda: ApgConfig(epsilon=1e-6, radius_bound=inf),
+         ValueError, "radius_bound must be positive and finite"),
+        ("assemble_penalized_inf", lambda: assemble_penalized(inst, inf),
+         ValueError, "gamma must be positive and finite"),
+        ("compose_prox_inf", lambda: compose_prox(l1, l1, inf),
+         ValueError, "gamma must be positive and finite"),
+        ("assemble_nonsmooth_inf", lambda: assemble_nonsmooth(l1, l1, inf),
+         ValueError, "gamma must be positive and finite"),
+        ("pb_apg_overflow", lambda: pb_apg(obj, x0, ApgConfig(
+            epsilon=1e-300, radius_bound=1e300)),
+         ValueError, "the iteration budget is not finite"),
+        ("pb_apg_sc_overflow", lambda: pb_apg_sc(
+            obj, 0.5 * obj.l_gamma, x0,
+            ApgConfig(epsilon=1e-300, radius_bound=1e300)),
+         ValueError, "the iteration budget is not finite"),
+        # 2 l_gamma radius^2 overflows though the budget would fit a float;
+        # the budget search compares against it
+        ("iteration_budget_numerator", lambda: iteration_budget(
+            1e300, 1e10, 1e300),
+         ValueError, "the iteration budget is not finite"),
+        ("sc_budget_rate", lambda: sc_budget(1.0, 1e-40, 1.0, 1e-3),
+         ValueError, "the iteration budget is not finite"),
+        ("sc_budget_ratio", lambda: sc_budget(1.0, 0.5, 1e10, 5e-324),
+         ValueError, "the iteration budget is not finite"),
         ("lower_lipschitz", lambda: lower_opt_value(
             dataclasses.replace(inst, g1=dataclasses.replace(
                 inst.g1, lipschitz_grad=nan))),
@@ -431,8 +458,8 @@ def test_integer_max_iters_runs_that_many_iterations():
 
 @pytest.mark.parametrize("case", _nan_cases(), ids=lambda case: case[0])
 def test_nan_argument_fails_its_check(case):
-    # NaN fails every argument check, with the exception and message a bad
-    # finite value gets
+    # NaN, infinity and a budget that overflows fail every argument check,
+    # with the exception and message a bad finite value gets
     _, call, error, message = case
     with pytest.raises(error, match=message):
         call()

@@ -41,6 +41,22 @@ class TestMinNormLeastSquares:
             want = np.linalg.lstsq(A, b, rcond=None)[0]
             np.testing.assert_allclose(min_norm_least_squares(A, b), want,
                                        rtol=1e-9, atol=1e-11)
+        # rows 4, 5 duplicate rows 0, 1: rank 4 on the row side (m <= n),
+        # and b is not in the range of A
+        B = rng.normal(size=(4, 10))
+        A = np.vstack([B, B[:2]])
+        b = rng.normal(size=6)
+        want = np.linalg.lstsq(A, b, rcond=None)[0]
+        np.testing.assert_allclose(min_norm_least_squares(A, b), want,
+                                   rtol=1e-9, atol=1e-11)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_lsrp_bench_residual_at_rounding_level(self, seed):
+        # b lies in the range of the 100 x 190 matrix, so the min-norm
+        # solution fits it to rounding level
+        A, b = synth_lsrp(100, 190, seed).g1.payload
+        x = min_norm_least_squares(A, b)
+        assert np.linalg.norm(A @ x - b) <= 1e-12
 
     def test_null_space_orthogonality_with_duplicate_columns(self):
         rng = np.random.default_rng(3)
