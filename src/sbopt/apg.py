@@ -5,7 +5,9 @@ by ``next_theta`` (equality root, starting from theta = 1) and the iteration
 budget that certifies a target accuracy from the smoothness constant and an
 initial-distance bound.  ``pb_apg_sc`` is the constant-momentum variant for a
 strongly convex smooth part, with its two warm-up steps and geometric rate.
-Both run one loop, which differs only in its momentum policy.
+Both run one loop, which differs only in its momentum policy.  Its forward
+step is y - grad_step(y), or M y + c, one matrix-vector product, when the
+objective carries that affine form (``PenalizedObjective.affine``).
 
 Optional adaptive restart uses the composite gradient test of O'Donoghue and
 Candes (Adaptive restart for accelerated gradient schemes, Found. Comput.
@@ -86,7 +88,10 @@ class SolverTrace:
     warm-up steps and rows recorded: the objective-level ``gradient``
     (grad_step, or a penalized subgradient), ``prox`` (prox_step), ``value``
     (one objective evaluation, or one trace row) and ``projection``
-    (Domain.project) calls that the solver made.
+    (Domain.project) calls that the solver made.  A forward step in the
+    affine form M y + c counts as one gradient: it is the gradient step in
+    closed form.  That form is chosen from the terms' ``tag``/``payload``,
+    which the route trusts, as ``lower_opt_value`` and ``_dual_bracket`` do.
     """
 
     ks: list = field(default_factory=list)
@@ -222,13 +227,16 @@ def _accelerate(objective: PenalizedObjective, x: np.ndarray, budget: int,
     restart copies x_k into x_{k-1}.  Each array is computed by the
     NumPy operations of  y = x + c (x - x_prev),
     x_next = prox_step(y - grad_step(y)),  in that order, so the iterates
-    keep every bit of that form.  The returned x is never written again.
+    keep every bit of that form; with ``objective.affine`` = (M, c) the
+    forward step is  M y + c  instead, one product and one add into the
+    prox input.  The returned x is never written again.
     """
     cap = budget if config.max_iters is None else min(budget, config.max_iters)
     reason = "max_iters" if cap < budget else "budget_reached"
     x_prev, x, x_next = x.copy(), x.copy(), np.empty_like(x)
     y, v, d = np.empty_like(x), np.empty_like(x), np.empty_like(x)
     grad_step, prox_step = objective.grad_step, objective.prox_step
+    M, c = objective.affine or (None, None)
     record, keep = trace.record, config.keep_iterates
     restart, tol = config.restart, config.step_tolerance
     # Momentum by j, the iterations since the last (re)start: each restart
@@ -247,7 +255,11 @@ def _accelerate(objective: PenalizedObjective, x: np.ndarray, budget: int,
         np.subtract(x, x_prev, y)
         y *= coeff
         y += x
-        np.subtract(y, grad_step(y, v), v)
+        if M is None:
+            np.subtract(y, grad_step(y, v), v)
+        else:
+            M.dot(y, v)
+            v += c
         prox_step(v, x_next)
         step_norm = _step_norm(np.subtract(x_next, x, d), x_next, trace)
         x_prev, x, x_next = x, x_next, x_prev

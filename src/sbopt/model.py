@@ -315,6 +315,8 @@ class PenalizedObjective:
     ``l_gamma`` is the reported smoothness constant scale*(L_f1 + gamma*L_g1).
     ``subgrad_lipschitz``, when available, is l_f2 + gamma*l_g2 for the fully
     nonsmooth mode.  ``instance``, when set, is the instance it penalizes.
+    ``affine``, when set, is read-only (M, c) with y - grad_step(y) = M y + c
+    up to rounding, the same for every scale (see ``assemble_penalized``).
     """
 
     gamma: float
@@ -323,6 +325,7 @@ class PenalizedObjective:
     scale: float = 1.0
     subgrad_lipschitz: Optional[float] = None
     instance: Optional[BilevelInstance] = None
+    affine: Optional[tuple] = None
 
     @property
     def l_gamma(self) -> float:
@@ -409,13 +412,38 @@ def assemble_penalized(instance: BilevelInstance, gamma: float) -> PenalizedObje
 
     Raises NonComposableProx when the (f2, g2) pair has no supported exact
     combined prox.  The objective is linked to ``instance``, so traces report
-    F, and lower-level residuals once the instance's G* is available.
+    F, and lower-level residuals once the instance's G* is available.  When
+    the tags say f1 = (tau/2)||x||^2 and g1 = (1/2m)||A x - b||^2, A m x n
+    with n <= 2m, ``affine`` is M = (1 - tau/L) I - (gamma/(m L)) A'A and
+    c = (gamma/(m L)) A'b, L = L_gamma: one product with the n x n M costs
+    no more than the gradient's two m x n products.
     """
     if not 0 < gamma < math.inf:
         raise ValueError("gamma must be positive and finite")
     phi = _combine_smooth(instance.f1, instance.g1, gamma)
     psi = _prox.compose_prox(instance.f2, instance.g2, gamma)
-    return PenalizedObjective(gamma=gamma, phi=phi, psi=psi, instance=instance)
+    return PenalizedObjective(gamma=gamma, phi=phi, psi=psi, instance=instance,
+                              affine=_affine_step(instance, gamma,
+                                                  phi.lipschitz_grad))
+
+
+def _affine_step(instance: BilevelInstance, gamma: float, L: float):
+    """``assemble_penalized``'s (M, c), or None off its route."""
+    f1, g1 = instance.f1, instance.g1
+    if f1.tag != "squared_norm" or g1.tag != "least_squares" or not L > 0:
+        return None
+    A, b = g1.payload
+    m, n = A.shape
+    if n > 2 * m:
+        return None
+    s = gamma / (m * L)
+    # A'A by matrix-vector products: matrix products page in 0.3 MB of BLAS
+    M = np.array([A.T @ col for col in A.T])
+    M *= -s
+    M.flat[::n + 1] += 1.0 - f1.payload[0] / L
+    c = (A.T @ b) * s
+    M.flags.writeable = c.flags.writeable = False
+    return M, c
 
 
 # ---------------------------------------------------------------------------

@@ -88,7 +88,7 @@ class TestLsrpBenchBracket:
         up = _upper(inst)
         assert up.f_star_method == "dual_bracket"
         assert up.method == "penalty_escalation(gamma=1000)"
-        assert (up.f_star_solves, up.f_star_iterations) == (1, 2895)
+        assert (up.f_star_solves, up.f_star_iterations) == (1, 3199)
         assert up.f_star == up.f_star_lower
         assert up.f_star_lower <= LSRP_BENCH_F_STAR <= up.f_star_upper
         assert up.f_star_upper - up.f_star_lower <= _width(inst)
@@ -102,17 +102,18 @@ class TestLsrpBenchBracket:
         up = _upper(inst)
         assert up.f_star_method == "dual_bracket"
         assert up.method == "penalty_escalation(gamma=1000)"
-        assert (up.f_star_solves, up.f_star_iterations) == (1, 7007)
+        assert (up.f_star_solves, up.f_star_iterations) == (1, 7017)
         assert up.f_star_lower <= up.f_star_upper
 
     # (f_star_solves, f_star_iterations) per generator seed, frozen: how the
-    # min-norm corrections round must not change where the escalation stops
+    # min-norm corrections round must not change where the escalation stops.
+    # The solves take the affine forward step (``PenalizedObjective.affine``)
     ESCALATIONS = {
-        3: (1, 2895), 4: (1, 7007), 5: (1, 3127), 6: (2, 9973),
-        7: (1, 3206), 8: (1, 4432), 9: (2, 6287), 10: (1, 4489),
-        11: (2, 7329), 12: (1, 4048), 13: (2, 5000), 14: (1, 3887),
-        15: (1, 2968), 16: (1, 3151), 17: (1, 3455), 18: (1, 6158),
-        19: (1, 3902), 20: (1, 3136), 21: (2, 5022), 22: (1, 2924),
+        3: (1, 3199), 4: (1, 7017), 5: (1, 2966), 6: (2, 9693),
+        7: (1, 3174), 8: (1, 4326), 9: (2, 6136), 10: (1, 4581),
+        11: (2, 7130), 12: (1, 4382), 13: (2, 5043), 14: (1, 4295),
+        15: (1, 2896), 16: (1, 3272), 17: (1, 3440), 18: (1, 6087),
+        19: (1, 3889), 20: (1, 3050), 21: (2, 4923), 22: (1, 2792),
     }
 
     @pytest.mark.parametrize("seed", range(3, 23))
@@ -208,14 +209,16 @@ def _ball_instance():
 
 
 class TestOffRouteBitIdentity:
-    """F* off the bracket route, as float.hex at the parent commit."""
+    """F* off the bracket route, as float.hex: the toy and logistic values
+    from before the affine forward step, the two least-squares values (on
+    that step's route) from after it."""
 
     @pytest.mark.parametrize("make, relaxation, expected", [
         (toy_quadratic_instance, 1e-10, "0x1.fffeb0754c5ecp-2"),
         (lambda: synth_lrp(40, 10, 6), 1e-9, "0x1.9000000000000p+5"),
         (lambda: synth_lsrp(20, 30, 1, tau=0.0), 1e-9,
-         "0x1.08efe3ee55f63p+2"),
-        (_ball_instance, 1e-9, "0x1.fa748447ddaf8p-5"),
+         "0x1.08efe3ee55f60p+2"),
+        (_ball_instance, 1e-9, "0x1.fa748447ddafbp-5"),
     ], ids=["toy", "synth_lrp", "tau_0", "l1_ball"])
     def test_f_star_unchanged(self, make, relaxation, expected):
         inst = make()

@@ -79,9 +79,10 @@ def frozen_prox_l1(y, lam):
     return np.sign(y) * np.maximum(np.abs(y) - lam, 0.0)
 
 
-def frozen_accelerate(grad_step, prox_step, x, cap, beta, restart,
+def frozen_accelerate(forward, prox_step, x, cap, beta, restart,
                       step_tolerance, keep):
-    """The allocating accelerated loop: returns the last iterate, the
+    """The allocating accelerated loop on the forward step ``forward(y)``
+    (y - grad_step(y), or M y + c): returns the last iterate, the
     iterations run, the restarts and (with ``keep``) every iterate."""
     x = x_prev = x.copy()
     th_prev = th = 1.0
@@ -90,7 +91,7 @@ def frozen_accelerate(grad_step, prox_step, x, cap, beta, restart,
     for k in range(cap):
         coeff = beta if beta is not None else th * (1.0 / th_prev - 1.0)
         y = x + coeff * (x - x_prev)
-        x_next = prox_step(y - grad_step(y))
+        x_next = prox_step(forward(y))
         d = x_next - x
         step_norm = math.sqrt(d.dot(d))
         if beta is None:
@@ -109,10 +110,12 @@ def frozen_accelerate(grad_step, prox_step, x, cap, beta, restart,
 
 
 def frozen_steps(instance, gamma):
-    """grad_step and prox_step of assemble_penalized(instance, gamma) for a
-    shipped instance (f1 = (w/2)||x||^2; g1 least squares or logistic; an
-    L1 f2 with a zero g2, or a zero f2 with an L1-ball g2), built on the
-    frozen kernels."""
+    """grad_step, the engine's forward step and prox_step of
+    assemble_penalized(instance, gamma) for a shipped instance (f1 =
+    (w/2)||x||^2; g1 least squares or logistic; an L1 f2 with a zero g2, or
+    a zero f2 with an L1-ball g2), built on the frozen kernels.  The forward
+    step is y - grad_step(y), or M y + c for least squares with n <= 2m,
+    with A'A formed column by column."""
     A, b = instance.g1.payload
     (w,) = instance.f1.payload
     L = instance.f1.lipschitz_grad + gamma * instance.g1.lipschitz_grad
@@ -124,17 +127,30 @@ def frozen_steps(instance, gamma):
     def grad_step(y):
         return (w * y + gamma * grad(A, b, *parts(A, b, y))) / L
 
+    m, n = A.shape
+    if instance.g1.tag == "least_squares" and n <= 2 * m:
+        s = gamma / (m * L)
+        gram = np.array([A.T @ A[:, j] for j in range(n)])
+        M = (1.0 - w / L) * np.eye(n) - s * gram
+        c = s * (A.T @ b)
+
+        def forward(y):
+            return M @ y + c
+    else:
+        def forward(y):
+            return y - grad_step(y)
+
     if instance.f2.kind == "l1":
         lam = (1.0 / L) * (1.0 * instance.f2.weight)
-        return grad_step, lambda v: frozen_prox_l1(v, lam)
+        return grad_step, forward, lambda v: frozen_prox_l1(v, lam)
     r = instance.g2.radius
-    return grad_step, lambda v: frozen_project_l1_ball(v, r)
+    return grad_step, forward, lambda v: frozen_project_l1_ball(v, r)
 
 
 def frozen_run(instance, gamma, engine, config):
     """The engine's run on the frozen steps and the allocating loop."""
     objective = assemble_penalized(instance, gamma)
-    grad_step, prox_step = frozen_steps(instance, gamma)
+    grad_step, forward, prox_step = frozen_steps(instance, gamma)
     x0 = np.zeros(instance.dim)
     radius = float(np.linalg.norm(x0)) + 1.0
     L = objective.l_gamma
@@ -147,7 +163,7 @@ def frozen_run(instance, gamma, engine, config):
         y_tilde = x0 - grad_step(x0)
         x0 = prox_step(y_tilde - grad_step(y_tilde))
     cap = min(budget, config.max_iters)
-    return frozen_accelerate(grad_step, prox_step, x0, cap, beta,
+    return frozen_accelerate(forward, prox_step, x0, cap, beta,
                              config.restart, config.step_tolerance,
                              config.keep_iterates)
 
@@ -398,13 +414,18 @@ class TestProxL1:
 ENGINE_INSTANCES = {
     "lsrp3": lambda: synth_lsrp(100, 190, 3),
     "lsrp4": lambda: synth_lsrp(100, 190, 4),
+    "lsrp3_wide": lambda: synth_lsrp(40, 190, 3),
     "lrp7": lambda: synth_lrp(200, 50, 7),
 }
+# the instances whose engine runs take the affine forward step M y + c
+AFFINE = ("lsrp3", "lsrp4")
 
 
 class TestAcceleratedEngineIterates:
     """The buffered engine takes the frozen allocating loop's iterates, bit
-    for bit, on the frozen kernels."""
+    for bit, on the frozen kernels: in the affine form M y + c on
+    least-squares instances with n <= 2m, in the gradient form on the
+    logistic and the wide (n > 2m) least-squares instance."""
 
     @pytest.fixture(scope="class")
     def instances(self):
@@ -420,6 +441,7 @@ class TestAcceleratedEngineIterates:
                         restart=restart, record_every=100,
                         keep_iterates=True)
         objective = assemble_penalized(instance, gamma)
+        assert (objective.affine is not None) == (name in AFFINE)
         x0 = np.zeros(instance.dim)
         if engine == "pb_apg":
             x, trace = pb_apg(objective, x0, cfg)

@@ -27,19 +27,27 @@ PUBLIC = {"logistic": logistic_value_grad,
 
 def _plain(term: SmoothTerm) -> SmoothTerm:
     """The same loss as plain lambdas over the public function, with no
-    fused oracle, and the same constants."""
+    fused oracle, and the same constants, tag and payload (so the engines
+    pick the same forward step for both)."""
     A, b = term.payload
     public = PUBLIC[term.tag]
     return SmoothTerm(lambda x: public(A, b, x)[0],
                       lambda x: public(A, b, x)[1],
-                      term.lipschitz_grad, term.strong_convexity)
+                      term.lipschitz_grad, term.strong_convexity,
+                      tag=term.tag, payload=term.payload)
+
+
+# least squares with n <= 2m takes the affine forward step M y + c; with
+# n > 2m, like the logistic loss, the gradient step y - grad_step(y)
+LSRP = {"affine": lambda: synth_lsrp(30, 45, 2),
+        "gradient": lambda: synth_lsrp(20, 45, 2)}
 
 
 def _instances():
-    lsrp = synth_lsrp(30, 45, 2)
     lrp = synth_lrp(40, 12, 4)
-    return [("lsrp", lsrp.with_lower_opt_value(0.0)),
-            ("lrp", lrp.with_lower_opt_value(0.5))]
+    return [(f"lsrp_{route}", make().with_lower_opt_value(0.0))
+            for route, make in LSRP.items()] + [
+        ("lrp", lrp.with_lower_opt_value(0.5))]
 
 
 def _assert_same_run(run_a, run_b):
@@ -220,11 +228,19 @@ class TestOracleCallCounts:
     @pytest.mark.parametrize("engine", ["pb_apg", "pb_apg_sc"])
     @pytest.mark.parametrize("record_every", [1, 7])
     def test_accelerated(self, monkeypatch, engine, record_every):
-        counts = dict.fromkeys(
-            ("value", "grad", "value_grad", "prox_l1", "project_l1_ball"), 0)
-        lsrp = synth_lsrp(30, 45, 2).with_lower_opt_value(0.0)
-        instance = self._counted(lsrp, counts, monkeypatch)
+        for route, make in LSRP.items():
+            counts = dict.fromkeys(("value", "grad", "value_grad", "prox_l1",
+                                    "project_l1_ball"), 0)
+            with monkeypatch.context() as patch:
+                self._check_accelerated(make(), counts, patch, engine,
+                                        record_every, route)
+
+    def _check_accelerated(self, lsrp, counts, patch, engine, record_every,
+                           route):
+        instance = self._counted(lsrp.with_lower_opt_value(0.0), counts,
+                                 patch)
         objective = assemble_penalized(instance, 50.0)
+        assert (objective.affine is None) == (route == "gradient")
         cfg = ApgConfig(epsilon=1e-9, max_iters=300, restart=True,
                         record_every=record_every)
         x0 = np.zeros(instance.dim)
@@ -238,7 +254,11 @@ class TestOracleCallCounts:
         warm = engine == "pb_apg_sc"
         assert calls == {"gradient": 300 + 2 * warm, "prox": 300 + warm,
                          "value": len(trace.ks), "projection": 0}
-        assert calls["gradient"] == counts["grad"]
+        # the affine step M y + c is the gradient step in closed form: it
+        # counts as one gradient, and calls the loss oracle only in the
+        # warm-up steps of pb_apg_sc
+        assert counts["grad"] == (calls["gradient"] if route == "gradient"
+                                  else 2 * warm)
         assert calls["prox"] == counts["prox_l1"]
         assert calls["value"] == counts["value"] == trace.rows_recorded
         assert counts["value_grad"] == counts["project_l1_ball"] == 0
