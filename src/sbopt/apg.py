@@ -6,8 +6,8 @@ budget that certifies a target accuracy from the smoothness constant and an
 initial-distance bound.  ``pb_apg_sc`` is the constant-momentum variant for a
 strongly convex smooth part, with its two warm-up steps and geometric rate.
 Both run one loop, which differs only in its momentum policy.  Its forward
-step is y - grad_step(y), or M y + c, one matrix-vector product, when the
-objective carries that affine form (``PenalizedObjective.affine``).
+step is y - grad_step(y), or the one product M y + c where the smooth part
+is quadratic (see ``model._affine_step``).
 
 Optional adaptive restart uses the composite gradient test of O'Donoghue and
 Candes (Adaptive restart for accelerated gradient schemes, Found. Comput.
@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidStrongConvexity, NonFiniteIterate
-from .model import PenalizedObjective, is_count
+from .model import PenalizedObjective, _affine_step, is_count
 
 
 @dataclass
@@ -90,8 +90,9 @@ class SolverTrace:
     (one objective evaluation, or one trace row) and ``projection``
     (Domain.project) calls that the solver made.  A forward step in the
     affine form M y + c counts as one gradient: it is the gradient step in
-    closed form.  That form is chosen from the terms' ``tag``/``payload``,
-    which the route trusts, as ``lower_opt_value`` and ``_dual_bracket`` do.
+    closed form.  That form is chosen from the smooth part's ``tag`` and
+    ``payload``, which the route trusts, as ``lower_opt_value`` and
+    ``_dual_bracket`` trust the terms'.
     """
 
     ks: list = field(default_factory=list)
@@ -227,16 +228,16 @@ def _accelerate(objective: PenalizedObjective, x: np.ndarray, budget: int,
     restart copies x_k into x_{k-1}.  Each array is computed by the
     NumPy operations of  y = x + c (x - x_prev),
     x_next = prox_step(y - grad_step(y)),  in that order, so the iterates
-    keep every bit of that form; with ``objective.affine`` = (M, c) the
-    forward step is  M y + c  instead, one product and one add into the
-    prox input.  The returned x is never written again.
+    keep every bit of that form, or, where ``_affine_step(objective.phi)``
+    gives (M, c), of  M y + c  in place of  y - grad_step(y).  The returned
+    x is never written again.
     """
     cap = budget if config.max_iters is None else min(budget, config.max_iters)
     reason = "max_iters" if cap < budget else "budget_reached"
     x_prev, x, x_next = x.copy(), x.copy(), np.empty_like(x)
     y, v, d = np.empty_like(x), np.empty_like(x), np.empty_like(x)
     grad_step, prox_step = objective.grad_step, objective.prox_step
-    M, c = objective.affine or (None, None)
+    M, c = _affine_step(objective.phi) or (None, None)
     record, keep = trace.record, config.keep_iterates
     restart, tol = config.restart, config.step_tolerance
     # Momentum by j, the iterations since the last (re)start: each restart

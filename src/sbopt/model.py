@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -45,6 +46,9 @@ class SmoothTerm:
     ``strong_convexity`` is 0 for merely convex terms.  ``tag``/``payload``
     carry the loss family and its data for the shipped losses, so reference
     computations can pick closed-form routes; ``zero()`` is tagged "zero".
+    ``assemble_penalized``'s phi of a squared norm and least squares is
+    tagged "penalized_least_squares", with (tau, gamma, A, b), so the
+    accelerated engine can take its forward step in affine form.
     """
 
     value_oracle: Callable[[np.ndarray], float]
@@ -315,8 +319,6 @@ class PenalizedObjective:
     ``l_gamma`` is the reported smoothness constant scale*(L_f1 + gamma*L_g1).
     ``subgrad_lipschitz``, when available, is l_f2 + gamma*l_g2 for the fully
     nonsmooth mode.  ``instance``, when set, is the instance it penalizes.
-    ``affine``, when set, is read-only (M, c) with y - grad_step(y) = M y + c
-    up to rounding, the same for every scale (see ``assemble_penalized``).
     """
 
     gamma: float
@@ -325,7 +327,6 @@ class PenalizedObjective:
     scale: float = 1.0
     subgrad_lipschitz: Optional[float] = None
     instance: Optional[BilevelInstance] = None
-    affine: Optional[tuple] = None
 
     @property
     def l_gamma(self) -> float:
@@ -402,9 +403,55 @@ def _combine_smooth(f1: SmoothTerm, g1: SmoothTerm, gamma: float) -> SmoothTerm:
         g += upper
         return g
 
+    # (tau/2)||x||^2 + (gamma/2m)||A x - b||^2, for _affine_step
+    quadratic = (f1.tag == "squared_norm" and g1.tag == "least_squares"
+                 and f1.payload is not None and g1.payload is not None)
     return SmoothTerm(value, grad,
                       f1.lipschitz_grad + gamma * g1.lipschitz_grad,
-                      f1.strong_convexity + gamma * g1.strong_convexity)
+                      f1.strong_convexity + gamma * g1.strong_convexity,
+                      tag="penalized_least_squares" if quadratic else None,
+                      payload=(*f1.payload, gamma, *g1.payload)
+                      if quadratic else None)
+
+
+def _affine_step(phi: SmoothTerm):
+    """(M, c) with y - grad(y)/L = M y + c up to rounding, L =
+    phi.lipschitz_grad, when phi is ``_combine_smooth``'s (tau/2)||x||^2 +
+    (gamma/2m)||A x - b||^2 with A m x n, n <= 2m: M = (1 - tau/L) I -
+    (gamma/(m L)) A'A and c = (gamma/(m L)) A'b.  None for any other phi.
+    The width rule is measured (``BENCH_18.json`` "route_cutoff"): up to
+    n = 2m the product by M is faster than the gradient's two by A, or
+    within 8 %, at m = 30 to 800; past it, slower from m = 200 on."""
+    if phi.tag != "penalized_least_squares" or not phi.lipschitz_grad > 0:
+        return None
+    tau, gamma, A, b = phi.payload
+    m, n = A.shape
+    if n > 2 * m:
+        return None
+    L = phi.lipschitz_grad
+    s = gamma / (m * L)
+    M = _gram(A) * -s
+    M.flat[::n + 1] += 1.0 - tau / L
+    return M, (A.T @ b) * s
+
+
+# A'A by id(A), for as long as A lives: a penalty ladder and the F* solves
+# run many gamma over one least-squares term
+_GRAMS = {}
+
+
+def _gram(A: np.ndarray) -> np.ndarray:
+    G = _GRAMS.get(id(A))
+    if G is None:
+        # by matrix-vector products: matrix products page in 0.3 MB of BLAS
+        G = np.empty((A.shape[1],) * 2)
+        for row, col in zip(G, A.T):
+            np.matmul(A.T, col, out=row)
+        G.flags.writeable = False
+        if not A.flags.writeable:  # as a term's private copy of A
+            _GRAMS[id(A)] = G
+            weakref.finalize(A, _GRAMS.pop, id(A), None)
+    return G
 
 
 def assemble_penalized(instance: BilevelInstance, gamma: float) -> PenalizedObjective:
@@ -412,38 +459,13 @@ def assemble_penalized(instance: BilevelInstance, gamma: float) -> PenalizedObje
 
     Raises NonComposableProx when the (f2, g2) pair has no supported exact
     combined prox.  The objective is linked to ``instance``, so traces report
-    F, and lower-level residuals once the instance's G* is available.  When
-    the tags say f1 = (tau/2)||x||^2 and g1 = (1/2m)||A x - b||^2, A m x n
-    with n <= 2m, ``affine`` is M = (1 - tau/L) I - (gamma/(m L)) A'A and
-    c = (gamma/(m L)) A'b, L = L_gamma: one product with the n x n M costs
-    no more than the gradient's two m x n products.
+    F, and lower-level residuals once the instance's G* is available.
     """
     if not 0 < gamma < math.inf:
         raise ValueError("gamma must be positive and finite")
     phi = _combine_smooth(instance.f1, instance.g1, gamma)
     psi = _prox.compose_prox(instance.f2, instance.g2, gamma)
-    return PenalizedObjective(gamma=gamma, phi=phi, psi=psi, instance=instance,
-                              affine=_affine_step(instance, gamma,
-                                                  phi.lipschitz_grad))
-
-
-def _affine_step(instance: BilevelInstance, gamma: float, L: float):
-    """``assemble_penalized``'s (M, c), or None off its route."""
-    f1, g1 = instance.f1, instance.g1
-    if f1.tag != "squared_norm" or g1.tag != "least_squares" or not L > 0:
-        return None
-    A, b = g1.payload
-    m, n = A.shape
-    if n > 2 * m:
-        return None
-    s = gamma / (m * L)
-    # A'A by matrix-vector products: matrix products page in 0.3 MB of BLAS
-    M = np.array([A.T @ col for col in A.T])
-    M *= -s
-    M.flat[::n + 1] += 1.0 - f1.payload[0] / L
-    c = (A.T @ b) * s
-    M.flags.writeable = c.flags.writeable = False
-    return M, c
+    return PenalizedObjective(gamma=gamma, phi=phi, psi=psi, instance=instance)
 
 
 # ---------------------------------------------------------------------------

@@ -107,7 +107,7 @@ class TestLsrpBenchBracket:
 
     # (f_star_solves, f_star_iterations) per generator seed, frozen: how the
     # min-norm corrections round must not change where the escalation stops.
-    # The solves take the affine forward step (``PenalizedObjective.affine``)
+    # The solves take the affine forward step (``model._affine_step``)
     ESCALATIONS = {
         3: (1, 3199), 4: (1, 7017), 5: (1, 2966), 6: (2, 9693),
         7: (1, 3174), 8: (1, 4326), 9: (2, 6136), 10: (1, 4581),

@@ -19,7 +19,7 @@ from sbopt.apg import (ApgConfig, iteration_budget, next_theta, pb_apg,
                        pb_apg_sc, sc_budget)
 from sbopt.bench.run import _subgrad_baseline
 from sbopt.bench.synth import synth_lrp, synth_lsrp
-from sbopt.model import (SmoothTerm, _least_squares_grad,
+from sbopt.model import (SmoothTerm, _affine_step, _least_squares_grad,
                          _least_squares_parts, _logistic_grad,
                          _logistic_parts, _logistic_value,
                          assemble_penalized, least_squares_smooth_term,
@@ -441,7 +441,7 @@ class TestAcceleratedEngineIterates:
                         restart=restart, record_every=100,
                         keep_iterates=True)
         objective = assemble_penalized(instance, gamma)
-        assert (objective.affine is not None) == (name in AFFINE)
+        assert (_affine_step(objective.phi) is not None) == (name in AFFINE)
         x0 = np.zeros(instance.dim)
         if engine == "pb_apg":
             x, trace = pb_apg(objective, x0, cfg)

@@ -14,8 +14,9 @@ from sbopt import prox as prox_module
 from sbopt.apg import ApgConfig, _step_norm, pb_apg, pb_apg_sc
 from sbopt.bench.run import _subgrad_baseline, build_config, run_experiment
 from sbopt.bench.synth import synth_lrp, synth_lsrp
-from sbopt.model import (NonsmoothTerm, SmoothTerm, _logistic_value,
-                         assemble_penalized, least_squares_smooth_term,
+from sbopt.model import (NonsmoothTerm, SmoothTerm, _affine_step,
+                         _logistic_value, assemble_penalized,
+                         least_squares_smooth_term,
                          least_squares_value_grad, logistic_smooth_term,
                          logistic_value_grad)
 from sbopt.subgrad import (Diminishing, Domain, SubgradConfig,
@@ -240,7 +241,7 @@ class TestOracleCallCounts:
         instance = self._counted(lsrp.with_lower_opt_value(0.0), counts,
                                  patch)
         objective = assemble_penalized(instance, 50.0)
-        assert (objective.affine is None) == (route == "gradient")
+        assert (_affine_step(objective.phi) is None) == (route == "gradient")
         cfg = ApgConfig(epsilon=1e-9, max_iters=300, restart=True,
                         record_every=record_every)
         x0 = np.zeros(instance.dim)
