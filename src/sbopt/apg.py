@@ -62,6 +62,8 @@ class ApgConfig:
             raise ValueError("radius_bound must be positive and finite")
         if self.max_iters is not None and not is_count(self.max_iters):
             raise ValueError("max_iters must be None or a nonnegative integer")
+        if not 0 <= self.step_tolerance < math.inf:
+            raise ValueError("step_tolerance must be nonnegative and finite")
         if not is_count(self.record_every, 1):
             raise ValueError("record_every must be a positive integer")
 

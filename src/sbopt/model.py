@@ -435,23 +435,53 @@ def _affine_step(phi: SmoothTerm):
     return M, (A.T @ b) * s
 
 
-# A'A by id(A), for as long as A lives: a penalty ladder and the F* solves
-# run many gamma over one least-squares term
+# Arrays derived from a least-squares term's A, by (id(A), name), for as
+# long as A lives: A'A, and the min-norm solver's eigenvectors and 1/lambda.
+# None refers to A, so A's finalizer can drop them.
 _GRAMS = {}
 
 
+def _derived(A: np.ndarray, name: str, build):
+    """build(), kept when A is read-only and owns its data, as a term's
+    private copy does; any other A may change, so it is built anew."""
+    if A.flags.writeable or A.base is not None:
+        return build()
+    key = (id(A), name)
+    if key not in _GRAMS:
+        _GRAMS[key] = build()
+        weakref.finalize(A, _GRAMS.pop, key, None)
+    return _GRAMS[key]
+
+
 def _gram(A: np.ndarray) -> np.ndarray:
-    G = _GRAMS.get(id(A))
-    if G is None:
+    def build():
         # by matrix-vector products: matrix products page in 0.3 MB of BLAS
         G = np.empty((A.shape[1],) * 2)
         for row, col in zip(G, A.T):
             np.matmul(A.T, col, out=row)
         G.flags.writeable = False
-        if not A.flags.writeable:  # as a term's private copy of A
-            _GRAMS[id(A)] = G
-            weakref.finalize(A, _GRAMS.pop, id(A), None)
-    return G
+        return G
+    return _derived(A, "gram", build)
+
+
+def _min_norm_solver(A):
+    """r -> the minimum-norm minimizer of ||A x - r||, from one eigh of the
+    smaller Gram matrix, AA' or A'A, with eigenvalues at or below max(m, n)
+    eps lam_max, its rounding level, cut (README "Reference values").  A cut
+    counted in Python keeps its peak-RSS cost to LAPACK's 1.5 MB."""
+    A = np.asarray(A, dtype=float)
+    m, n = A.shape
+
+    def build():  # A.T is a view, so its AA' is not kept
+        lam, U = np.linalg.eigh(_gram(A if m > n else A.T))
+        cut = max(m, n) * np.finfo(float).eps * lam.max(initial=0.0)
+        k = sum(v <= cut for v in lam.tolist())  # lam ascends
+        return U[:, k:], 1.0 / lam[k:]
+
+    U, s = _derived(A, "min_norm", build)
+    if m <= n:
+        return lambda r: A.T @ (U @ (s * (U.T @ r)))
+    return lambda r: U @ (s * (U.T @ (A.T @ r)))
 
 
 def assemble_penalized(instance: BilevelInstance, gamma: float) -> PenalizedObjective:

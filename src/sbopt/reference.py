@@ -25,11 +25,14 @@ from .apg import (ApgConfig, SolverTrace, _accelerate, gradient_mapping_norm,
                   pb_apg, pb_apg_sc)
 from .errors import Nonconvergence, RelaxationUnreachable
 from .model import (BilevelInstance, NonsmoothTerm, PenalizedObjective,
-                    assemble_penalized, is_count)
+                    _min_norm_solver, assemble_penalized, is_count)
 from .prox import compose_prox, prox_l1
 
 log = logging.getLogger(__name__)
 
+# F* escalates the penalty GROWTH-fold from GAMMA0 up to GAMMA_CAP
+GAMMA0 = 1e3
+GAMMA_CAP = 1e12
 GROWTH = 10.0
 STEP_TOLERANCE = 1e-12
 
@@ -51,26 +54,6 @@ class ReferenceReport:
     f_star_method: Optional[str] = None
     f_star_solves: int = 0
     f_star_iterations: int = 0
-
-
-def _min_norm_solver(A):
-    """r -> the minimum-norm minimizer of ||A x - r||, from one eigh of the
-    smaller Gram matrix: A'U diag(1/lam) U'r for AA' = U diag(lam) U' when
-    m <= n, else V diag(1/lam) V'A'r for A'A.  Eigenvalues at or below
-    max(m, n) eps lam_max, the Gram spectrum's rounding level, count as
-    zero: singular values under sqrt(max(m, n) eps) sigma_max are cut.
-    Matrix-vector products and a cut counted in Python keep its peak-RSS
-    cost to LAPACK's 1.5 MB; matrix products page in 0.3 MB more."""
-    A = np.asarray(A, dtype=float)
-    m, n = A.shape
-    B = A if m <= n else A.T
-    lam, U = np.linalg.eigh(np.array([B @ row for row in B]))
-    cut = max(m, n) * np.finfo(float).eps * lam.max(initial=0.0)
-    k = sum(v <= cut for v in lam.tolist())  # lam ascends
-    U, s = U[:, k:], 1.0 / lam[k:]
-    if m <= n:
-        return lambda r: A.T @ (U @ (s * (U.T @ r)))
-    return lambda r: U @ (s * (U.T @ (A.T @ r)))
 
 
 def min_norm_least_squares(A, b) -> np.ndarray:
@@ -98,6 +81,8 @@ def lower_opt_value(instance: BilevelInstance, tolerance: float = 1e-12,
     the norm at y_k, meets ``tolerance``.  Reaching ``max_iters`` raises
     Nonconvergence with the last value and its certificate.
     """
+    if not tolerance > 0:
+        raise ValueError("tolerance must be positive")
     g1, g2 = instance.g1, instance.g2
     if g1.tag == "least_squares" and g1.payload is not None:
         A, b = g1.payload
@@ -165,18 +150,19 @@ def _dual_bracket(inst: BilevelInstance):
     duality holds for any lambda).  Upper: ``_upper_end`` over two points
     x + d, with d zero off a set S of coordinates and d_S =
     min_norm_least_squares(A[:, S], c - A x), for S = every coordinate and
-    S = the m coordinates of largest |A'lambda|, which hold supp(x) when it
-    has at most m nonzeros: at the penalized minimizer |A'lambda| =
-    tau |x| + w > w on supp(x) and <= w off it.  A point counts only when
-    its residual is at rounding level.  One decomposition of A gives x_hat
-    and every dense correction.  The m coordinates are taken in increasing
-    order: the same column set in another order rounds differently."""
+    S = the m coordinates of largest |A'lambda| when m < n, which hold
+    supp(x) when it has at most m nonzeros: at the penalized minimizer
+    |A'lambda| = tau |x| + w > w on supp(x) and <= w off it.  A point counts
+    only when its residual is at rounding level.  The decomposition of A
+    that gave G* gives x_hat and every dense correction.  The m coordinates
+    are taken in increasing order: the same column set in another order
+    rounds differently."""
     f1, g1, w = inst.f1, inst.g1, inst.f2.l1_weight
     if (f1.tag != "squared_norm" or g1.tag != "least_squares" or w is None
             or inst.g2.l1_weight != 0.0 or not f1.payload[0] > 0.0):
         return None
     A, b = g1.payload
-    m = A.shape[0]
+    m, n = A.shape
     solve = _min_norm_solver(A)
     c, tau = A @ solve(b), f1.payload[0]
 
@@ -185,25 +171,27 @@ def _dual_bracket(inst: BilevelInstance):
         lam = (gamma / m) * r
         v = A.T @ lam
         u = prox_l1(v, w)
-        # a mask keeps A's column order without paging in NumPy's sort
-        top = np.zeros(x.size, dtype=bool)
-        top[np.argsort(np.abs(v))[-m:]] = True
-        sparse = x.copy()
-        sparse[top] += min_norm_least_squares(A[:, top], r)
+        points = [x + solve(r)]
+        if m < n:  # else the top m are every column
+            # a mask keeps A's column order without paging in NumPy's sort
+            top = np.zeros(n, dtype=bool)
+            top[np.argsort(np.abs(v))[-m:]] = True
+            sparse = x.copy()
+            sparse[top] += min_norm_least_squares(A[:, top], r)
+            points.append(sparse)
         return (float(lam @ c) - float(u @ u) / (2.0 * tau),
-                _upper_end(inst, A, c, [x + solve(r), sparse]))
+                _upper_end(inst, A, c, points))
     return bracket
 
 
 def upper_opt_value(instance: BilevelInstance, g_star: float,
-                    relaxation: float = 1e-10, gamma0: float = 1e3,
-                    gamma_cap: float = 1e12,
+                    relaxation: float = 1e-10,
                     max_iters_per_solve: int = 200_000) -> ReferenceReport:
     """Approximate F* = min F(x) subject to G(x) - G* <= relaxation.
 
     Solves the penalized problem at gamma with the gradient-restarted
-    accelerated engine, escalating gamma GROWTH-fold, and stops after the first
-    solve x that meets either rule:
+    accelerated engine, escalating gamma GROWTH-fold from GAMMA0, and stops
+    after the first solve x that meets either rule:
 
     - ``relaxation``: G(x) - G* <= relaxation;
     - ``dual_bracket``: on the route of ``_dual_bracket`` (least-squares
@@ -215,8 +203,8 @@ def upper_opt_value(instance: BilevelInstance, g_star: float,
     certified.  ``f_star_method`` names the rule, ``f_star_lower`` and
     ``f_star_upper`` the last bracket (None off its route), and
     ``achieved_lower_gap`` is G(x) - G*, above the relaxation when the
-    bracket stopped first.  Raises RelaxationUnreachable past the
-    escalation cap.  A solve that ends on ``max_iters_per_solve`` certifies
+    bracket stopped first.  Raises RelaxationUnreachable past
+    GAMMA_CAP.  A solve that ends on ``max_iters_per_solve`` certifies
     nothing, so it raises Nonconvergence carrying F at its last iterate and
     that iterate's gradient-mapping norm.
     """
@@ -229,10 +217,10 @@ def upper_opt_value(instance: BilevelInstance, g_star: float,
     width = (inst.subgrad_diameter
              * (inst.rho * relaxation) ** (1.0 / inst.alpha))
     x = np.zeros(instance.dim)
-    gamma = gamma0
+    gamma = GAMMA0
     solves = iterations = 0
     lower = upper = None
-    while gamma <= gamma_cap:
+    while gamma <= GAMMA_CAP:
         objective = assemble_penalized(inst, gamma)
         cfg = ApgConfig(epsilon=1e-18, max_iters=max_iters_per_solve,
                         step_tolerance=STEP_TOLERANCE, restart=True,
@@ -268,4 +256,4 @@ def upper_opt_value(instance: BilevelInstance, g_star: float,
                 f_star_solves=solves, f_star_iterations=iterations)
         gamma *= GROWTH
     raise RelaxationUnreachable(
-        f"residual stayed above {relaxation:g} up to gamma={gamma_cap:g}")
+        f"residual stayed above {relaxation:g} up to gamma={GAMMA_CAP:g}")

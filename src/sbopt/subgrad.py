@@ -106,6 +106,8 @@ class SubgradConfig:
             raise ValueError("max_iters must be positive")
         if not is_count(self.record_every, 1):
             raise ValueError("record_every must be a positive integer")
+        if not (self.max_seconds is None or self.max_seconds > 0):
+            raise ValueError("max_seconds must be None or positive")
 
 
 def subgradient_oracle(term, x: np.ndarray) -> np.ndarray:

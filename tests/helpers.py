@@ -237,3 +237,19 @@ def emit_libsvm(dataset):
         toks += [f"{j + 1}:{row[j]:.17g}" for j in np.flatnonzero(row)]
         lines.append(" ".join(toks))
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+# ---------------------------------------------------------------------------
+# LAPACK calls
+
+
+def eigh_calls(monkeypatch) -> list:
+    """The shapes of the matrices passed to ``np.linalg.eigh`` from now on,
+    for the rest of the test."""
+    eigh, shapes = np.linalg.eigh, []
+
+    def counted(a):
+        shapes.append(a.shape)
+        return eigh(a)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return shapes

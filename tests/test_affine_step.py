@@ -9,15 +9,19 @@ that the map follows the objective it is built from, and the scale
 invariance of the iterates (criterion 8)."""
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
 from sbopt.apg import ApgConfig, pb_apg
 from sbopt.bench.synth import synth_lsrp
-from sbopt.model import (PenalizedObjective, SmoothTerm, _affine_step, _gram,
-                         assemble_penalized, elastic_net_problem,
-                         logistic_min_norm_problem, min_norm_problem)
+from helpers import eigh_calls
+from sbopt.model import (_GRAMS, PenalizedObjective, SmoothTerm, _affine_step,
+                         _gram, _min_norm_solver, assemble_penalized,
+                         elastic_net_problem, logistic_min_norm_problem,
+                         min_norm_problem)
 
 EPS = np.finfo(float).eps
 
@@ -131,6 +135,39 @@ class TestGram:
         B[0, 0] += 1.0
         assert _gram(B) is not G
         np.testing.assert_allclose(_gram(B), B.T @ B, rtol=1e-12, atol=1e-9)
+
+    @pytest.mark.parametrize("m, n", [(12, 20), (20, 12)])
+    def test_the_min_norm_solver_shares_the_memo_and_goes_with_a(
+            self, m, n, monkeypatch):
+        shapes = eigh_calls(monkeypatch)
+        before = set(_GRAMS)
+        inst = _problem(m, n)
+        A = inst.g1.payload[0]
+        r = np.random.default_rng(5).normal(size=m)
+        want = np.linalg.pinv(A) @ r
+        for _ in range(2):
+            np.testing.assert_allclose(_min_norm_solver(A)(r), want,
+                                       rtol=1e-10, atol=1e-12)
+        assert shapes == [(min(m, n),) * 2]
+        # a tall A is decomposed through the A'A the affine step uses; a
+        # wide one's AA' comes from a view of A, which is not kept
+        kept = {name for key, name in _GRAMS if key == id(A)}
+        assert kept == ({"gram", "min_norm"} if m > n else {"min_norm"})
+        if m > n:
+            assert _gram(A) is _GRAMS[id(A), "gram"]
+        # a writable A, or a view that its base may change, is never kept
+        for other in (np.array(A), A[:, :]):
+            _min_norm_solver(other)(r)
+            assert not any(key == id(other) for key, _ in _GRAMS)
+        assert len(shapes) == 3
+        # no kept array refers to A, so dropping the term frees A and every
+        # entry, the affine step's A'A included
+        alive = weakref.ref(A)
+        _route(inst)
+        del inst, A, other
+        gc.collect()
+        assert alive() is None
+        assert set(_GRAMS) <= before
 
 
 class TestScaleInvariance:

@@ -5,10 +5,10 @@ route F* keeps the relaxation rule bit for bit."""
 import numpy as np
 import pytest
 
-from helpers import toy_quadratic_instance
+from helpers import eigh_calls, toy_quadratic_instance
 from sbopt import reference
 from sbopt.bench.synth import synth_instance, synth_lrp, synth_lsrp
-from sbopt.model import min_norm_problem
+from sbopt.model import elastic_net_problem, min_norm_problem
 from sbopt.prox import prox_l1
 from sbopt.reference import (FEASIBLE_RESIDUAL, _dual_bracket, _upper_end,
                              lower_opt_value, min_norm_least_squares,
@@ -184,6 +184,33 @@ class TestUpperEnd:
         assert _upper_end(inst, A, c, [off]) is None
         assert _upper_end(inst, A, c, [off, feasible]) == (
             inst.upper_value(feasible))
+
+
+class TestOneDecomposition:
+    """G* and the F* bracket share one eigh of A's smaller Gram matrix; only
+    a wide bracket's top-m correction, on a copy of m columns, takes its
+    own."""
+
+    def test_lsrp_bench_run(self, monkeypatch, tmp_path):
+        from sbopt.bench.run import build_config, run_experiment
+        shapes = eigh_calls(monkeypatch)
+        report = run_experiment(build_config({"preset": "lsrp-bench",
+                                              "out_dir": str(tmp_path)}))
+        assert report.f_star_record["f_star_solves"] == 1
+        assert shapes == [(100, 100)] * 2
+
+    def test_tall_elastic_net(self, monkeypatch):
+        # m >= n: the top m columns are every column, so the bracket has
+        # only the dense correction
+        rng = np.random.default_rng(0)
+        inst = elastic_net_problem(rng.normal(size=(60, 12)),
+                                   rng.normal(size=60))
+        shapes = eigh_calls(monkeypatch)
+        up = upper_opt_value(inst, lower_opt_value(inst).g_star,
+                             relaxation=1e-9)
+        assert up.f_star_method == "dual_bracket"
+        assert up.f_star_lower <= up.f_star_upper
+        assert shapes == [(12, 12)]
 
 
 class TestMinNormProblem:

@@ -295,8 +295,9 @@ class TestScaledView:
 
 
 def _nan_cases():
-    """(id, call with one NaN, infinite or overflowing argument, the
-    exception and message its check raises for a bad finite value)."""
+    """(id, call with one NaN, infinite, overflowing or out-of-range
+    argument, the exception and message its check raises for a bad finite
+    value)."""
     nan, inf = float("nan"), float("inf")
     inst = toy_quadratic_instance()
     obj = assemble_penalized(inst, 1.0)
@@ -389,6 +390,20 @@ def _nan_cases():
          ValueError, "max_iters_per_solve must be a positive integer"),
         ("apg_radius_inf", lambda: ApgConfig(epsilon=1e-6, radius_bound=inf),
          ValueError, "radius_bound must be positive and finite"),
+        # an infinite step tolerance stopped every run after one iteration
+        *((f"apg_step_tolerance_{v}", lambda v=v: ApgConfig(
+            epsilon=1e-6, step_tolerance=v),
+           ValueError, "step_tolerance must be nonnegative and finite")
+          for v in (nan, -1e-12, inf)),
+        *((f"subgrad_max_seconds_{v}", lambda v=v: SubgradConfig(
+            Diminishing(1.0), 10, Domain.all_space(), max_seconds=v),
+           ValueError, "max_seconds must be None or positive")
+          for v in (nan, 0.0, -1.0)),
+        # no gradient-mapping norm met these, so the G* run went on to its
+        # 10 000 000-iteration cap
+        *((f"lower_tolerance_{v}", lambda v=v: lower_opt_value(
+            inst, tolerance=v), ValueError, "tolerance must be positive")
+          for v in (nan, 0.0, -1.0)),
         ("assemble_penalized_inf", lambda: assemble_penalized(inst, inf),
          ValueError, "gamma must be positive and finite"),
         ("compose_prox_inf", lambda: compose_prox(l1, l1, inf),

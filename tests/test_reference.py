@@ -281,7 +281,6 @@ class TestUpperOptValue:
         inst = toy_quadratic_instance()
         with pytest.raises(RelaxationUnreachable):
             upper_opt_value(inst, g_star=0.0, relaxation=1e-30,
-                            gamma0=1.0, gamma_cap=1e3,
                             max_iters_per_solve=2000)
 
     def test_solve_on_its_cap_raises(self):
