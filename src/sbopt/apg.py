@@ -226,9 +226,10 @@ def _accelerate(objective: PenalizedObjective, x: np.ndarray, budget: int,
 
     The run allocates its arrays once: x_{k-1}, x_k and x_{k+1} rotate
     through three of them, and y_k, the prox input and the step go into
-    three more, which grad_step and prox_step fill through ``out``.  A
-    restart copies x_k into x_{k-1}.  Each array is computed by the
-    NumPy operations of  y = x + c (x - x_prev),
+    three more, which grad_step and prox_step fill through ``out``; the
+    gradient under grad_step is new at each call.  A restart copies x_k into
+    x_{k-1}.  Each array is computed by the NumPy operations of
+    y = x + c (x - x_prev),
     x_next = prox_step(y - grad_step(y)),  in that order, so the iterates
     keep every bit of that form, or, where ``_affine_step(objective.phi)``
     gives (M, c), of  M y + c  in place of  y - grad_step(y).  The returned

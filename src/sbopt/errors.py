@@ -61,7 +61,7 @@ class RelaxationUnreachable(SboptError):
 
 
 class Nonconvergence(SboptError):
-    """A reference computation hit its iteration cap. Carries the best value found."""
+    """A reference computation hit its cap or failed its certificate. Carries the best value found."""
 
     def __init__(self, message, best_value=None, certificate=None):
         super().__init__(message)

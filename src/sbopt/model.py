@@ -6,8 +6,9 @@ prox-friendly nonsmooth terms.  ``assemble_penalized`` folds them into the
 single-level objective  phi_gamma + psi_gamma  with
 phi_gamma = f1 + gamma*g1  and  psi_gamma = f2 + gamma*g2.
 
-Every oracle is a function of its input vector alone.  A gradient, prox or
-projection given an ``out`` array, which belongs to the caller, writes its
+Every oracle is a function of its input vector alone.  A smooth gradient
+is a new array, or its oracle's own, which no caller writes to.  A prox,
+projection or ``grad_step`` given an ``out`` array, the caller's, writes its
 result there and changes nothing else.  Instances and objectives are
 immutable after construction, hold no buffers, and are safe to share across
 threads.
@@ -63,17 +64,8 @@ class SmoothTerm:
     def value(self, x: np.ndarray) -> float:
         return float(self.value_oracle(x))
 
-    def grad(self, x: np.ndarray, out=None) -> np.ndarray:
-        """The gradient at x; with ``out``, written into it and returned.
-        Only an oracle marked by ``_fills_out`` is passed out; any other,
-        such as a wrapper put in its place, runs on x alone and its result
-        is copied in."""
-        oracle = self.gradient_oracle
-        if out is None:
-            return oracle(x)
-        if getattr(oracle, "fills_out", False):
-            return oracle(x, out)
-        return _prox.copy_into(oracle(x), out)
+    def grad(self, x: np.ndarray) -> np.ndarray:
+        return self.gradient_oracle(x)
 
     def value_grad(self, x: np.ndarray):
         """Value and gradient at one point, from one fused oracle call when
@@ -135,8 +127,8 @@ class NonsmoothTerm:
 
     @staticmethod
     def l1_norm(weight: float = 1.0) -> "NonsmoothTerm":
-        if not weight > 0:
-            raise ValueError("l1 weight must be positive")
+        if not 0 < weight < math.inf:
+            raise ValueError("l1 weight must be positive and finite")
         return NonsmoothTerm(kind="l1", weight=weight)
 
     @staticmethod
@@ -360,10 +352,7 @@ class PenalizedObjective:
     # With ``out`` (a solver run's buffer) each writes its result there.
     def grad_step(self, y: np.ndarray, out=None) -> np.ndarray:
         """Gradient step component  grad(phi_gamma)(y) / L_gamma."""
-        phi = self.phi
-        g = phi.grad(y, np.empty(np.shape(y)) if out is None else out)
-        g /= phi.lipschitz_grad
-        return g
+        return np.divide(self.phi.grad(y), self.phi.lipschitz_grad, out)
 
     def prox_step(self, v: np.ndarray, out=None) -> np.ndarray:
         """Scaled prox  prox_{psi_gamma / L_gamma}(v)."""
@@ -377,36 +366,17 @@ class PenalizedObjective:
         return dataclasses.replace(self, scale=c * self.scale, subgrad_lipschitz=sub)
 
 
-def _fills_out(oracle):
-    """Mark a gradient oracle that takes (x, out=None) and, given out, writes
-    the gradient there."""
-    oracle.fills_out = True
-    return oracle
-
-
 def _combine_smooth(f1: SmoothTerm, g1: SmoothTerm, gamma: float) -> SmoothTerm:
-    # The terms are frozen, so their oracles are looked up once, here, and
-    # so is SmoothTerm.grad's choice for out: g1's oracle itself, or g1.grad,
-    # which copies into out
-    upper_grad, oracle = f1.gradient_oracle, g1.gradient_oracle
-    lower_into = oracle if getattr(oracle, "fills_out", False) else g1.grad
-
-    def value(x):
-        return f1.value(x) + gamma * g1.value(x)
-
-    @_fills_out
-    def grad(x, out=None):
-        # f1.grad(x) + gamma * g1.grad(x), each rounding as in that form
-        upper = upper_grad(x)
-        g = lower_into(x, np.empty(np.shape(x)) if out is None else out)
-        g *= gamma
-        g += upper
+    def grad(x):
+        # a new array, as g1's may be its oracle's own, or read-only
+        g = np.multiply(gamma, g1.grad(x))
+        g += f1.grad(x)
         return g
 
     # (tau/2)||x||^2 + (gamma/2m)||A x - b||^2, for _affine_step
     quadratic = (f1.tag == "squared_norm" and g1.tag == "least_squares"
                  and f1.payload is not None and g1.payload is not None)
-    return SmoothTerm(value, grad,
+    return SmoothTerm(lambda x: f1.value(x) + gamma * g1.value(x), grad,
                       f1.lipschitz_grad + gamma * g1.lipschitz_grad,
                       f1.strong_convexity + gamma * g1.strong_convexity,
                       tag="penalized_least_squares" if quadratic else None,
@@ -553,7 +523,7 @@ def lipschitz_least_squares(A) -> float:
 # Each loss is three functions, and each formula exists once: ``parts``
 # computes what value and gradient share, ``value`` and ``grad`` finish
 # from it.  The public *_value_grad functions and the oracles of the shipped
-# terms are all built from these.  ``mv(M, v, out)`` is the matrix-vector
+# terms are all built from these.  ``mv(M, v)`` is the matrix-vector
 # product: np.matmul, or ndarray.dot where _loss_term finds it gives the
 # same bits.
 
@@ -573,12 +543,12 @@ def _logistic_value(t, z) -> float:
     return float(np.add.reduce(losses)) / losses.shape[0]
 
 
-def _logistic_grad(A, b, t, z, out=None, mv=np.matmul):
+def _logistic_grad(A, b, t, z, mv=np.matmul):
     # sigma(-t) = z / (1 + z) for t >= 0 and 1 / (1 + z) below, as one division
     s = np.maximum(z, t < 0)  # z <= 1, so this picks 1 where t < 0
     s /= z + 1.0
     s *= b
-    g = mv(A.T, s, out)
+    g = mv(A.T, s)
     g /= -float(A.shape[0])  # as the int divides, with less scalar handling
     return g
 
@@ -593,8 +563,8 @@ def _least_squares_value(r) -> float:
     return float(r @ r) / (2.0 * r.shape[0])
 
 
-def _least_squares_grad(A, b, r, out=None, mv=np.matmul):
-    g = mv(A.T, r, out)
+def _least_squares_grad(A, b, r, mv=np.matmul):
+    g = mv(A.T, r)
     g /= float(A.shape[0])  # as the int divides, with less scalar handling
     return g
 
@@ -653,28 +623,19 @@ def _loss_term(loss, A, b, lipschitz, tag) -> SmoothTerm:
     # dot-product routes, whose rounding and signed zeros can differ.
     mv = np.ndarray.dot if min(A.shape) > 1 else np.matmul
 
-    def checked(x):
+    def parts_at(x):
         if type(x) is not np.ndarray:
             x = np.asarray(x, dtype=float)
         if x.shape != shape:
             raise DimensionMismatch(f"x is {x.shape}, expected {shape}")
-        return x
-
-    def parts_at(x):
-        return parts(A, b, checked(x), mv)
-
-    @_fills_out
-    def grad_at(x, out=None):
-        # checked(x) on the solvers' path only when it can change x or raise
-        if type(x) is not np.ndarray or x.shape != shape:
-            x = checked(x)
-        return grad(A, b, *parts(A, b, x, mv), out, mv)
+        return parts(A, b, x, mv)
 
     def value_grad(x):
         p = parts_at(x)
-        return value(*p), grad(A, b, *p, None, mv)
+        return value(*p), grad(A, b, *p, mv)
 
-    return SmoothTerm(lambda x: value(*parts_at(x)), grad_at,
+    return SmoothTerm(lambda x: value(*parts_at(x)),
+                      lambda x: grad(A, b, *parts_at(x), mv),
                       lipschitz(A), 0.0, tag=tag, payload=(A, b),
                       value_grad_oracle=value_grad)
 
@@ -693,12 +654,11 @@ def least_squares_smooth_term(A, b) -> SmoothTerm:
 
 def squared_norm_term(weight: float = 1.0) -> SmoothTerm:
     """(weight/2) ||x||^2, which is weight-strongly convex and weight-smooth."""
-    @_fills_out
-    def grad(x, out=None):
-        return np.multiply(weight, x, out)
-
-    return SmoothTerm(lambda x: 0.5 * weight * float(x @ x), grad, weight,
-                      weight, tag="squared_norm", payload=(weight,))
+    if not 0 <= weight < math.inf:
+        raise ValueError("squared-norm weight must be nonnegative and finite")
+    return SmoothTerm(lambda x: 0.5 * weight * float(x @ x),
+                      lambda x: np.multiply(weight, x), weight, weight,
+                      tag="squared_norm", payload=(weight,))
 
 
 # ---------------------------------------------------------------------------

@@ -73,13 +73,15 @@ def lower_opt_value(instance: BilevelInstance, tolerance: float = 1e-12,
     """Lower-level optimal value G* with a convergence certificate.
 
     Unconstrained least-squares lower levels use the min-norm route and a
-    normal-equation residual certificate; anything else is one accelerated
-    run with gradient restart from zero, which stops at the first iterate
-    whose gradient-mapping norm is at most ``tolerance``.  That norm costs a
-    gradient, so it is computed, and logged, at checkpoints 1, 2, 4, ...
-    spaced at most ``chunk`` apart, and where the free L||y_k - x_{k+1}||,
-    the norm at y_k, meets ``tolerance``.  Reaching ``max_iters`` raises
-    Nonconvergence with the last value and its certificate.
+    normal-equation residual certificate ||A'(A x_hat - b)||, which above
+    ``tolerance`` ||A||_F (||A||_F ||x_hat|| + ||b||) raises Nonconvergence;
+    anything else is one accelerated run with gradient restart from zero,
+    which stops at the first iterate whose gradient-mapping norm is at most
+    ``tolerance``.  That norm costs a gradient, so it is computed, and
+    logged, at checkpoints 1, 2, 4, ... spaced at most ``chunk`` apart, and
+    where the free L||y_k - x_{k+1}||, the norm at y_k, meets ``tolerance``.
+    Reaching ``max_iters`` raises Nonconvergence with the last value and its
+    certificate.
     """
     if not tolerance > 0:
         raise ValueError("tolerance must be positive")
@@ -89,6 +91,14 @@ def lower_opt_value(instance: BilevelInstance, tolerance: float = 1e-12,
         x_hat = min_norm_least_squares(A, b)
         if g2.value(x_hat) == 0.0:
             resid = float(np.linalg.norm(A.T @ (A @ x_hat - b)))
+            # ||A||_F, which calls no LAPACK routine, scales the rounding
+            n_a, n_x, n_b = (float(np.linalg.norm(v)) for v in (A, x_hat, b))
+            if not resid <= tolerance * n_a * (n_a * n_x + n_b):
+                log.warning("G* min-norm certificate %.3g is above tolerance "
+                            "%g times its scale", resid, tolerance)
+                raise Nonconvergence("min-norm G* certificate above tolerance",
+                                     best_value=g1.value(x_hat),
+                                     certificate=resid)
             return ReferenceReport(g_star=g1.value(x_hat), f_star=None,
                                    method="min_norm_least_squares",
                                    residual_certificate=resid, x=x_hat)

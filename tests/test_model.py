@@ -16,7 +16,8 @@ from sbopt.model import (BilevelInstance, NonsmoothTerm, SmoothTerm,
                          assemble_penalized, lambda_max_gram,
                          least_squares_value_grad, lipschitz_least_squares,
                          lipschitz_logistic, logistic_value_grad, max_affine,
-                         min_norm_problem, squared_norm_term)
+                         elastic_net_problem, min_norm_problem,
+                         squared_norm_term)
 from sbopt.penalty import gamma_star, gamma_total, suboptimality_lower_bound
 from sbopt.prox import compose_prox
 from sbopt.reference import lower_opt_value, upper_opt_value
@@ -274,6 +275,29 @@ class TestAssemblePenalized:
         with pytest.raises(ValueError):
             assemble_penalized(toy_quadratic_instance(), 0.0)
 
+    def test_a_lower_gradient_the_oracle_owns_is_left_as_it_is(self):
+        # g1 = c'x returns its own read-only c at every call, so phi's
+        # gradient must scale a new array, never g1's result in place
+        c = np.array([0.3, -1.2, 0.5])
+        c.flags.writeable = False
+        g1 = SmoothTerm(lambda x: float(c @ x), lambda x: c, 0.0)
+        inst = BilevelInstance(dim=3, f1=squared_norm_term(1.0),
+                               f2=NonsmoothTerm.zero(), g1=g1,
+                               g2=NonsmoothTerm.indicator_l1_ball(1.0),
+                               alpha=1.0, rho=1.0, subgrad_diameter=1.0)
+        obj = assemble_penalized(inst, 2.0)
+        y = np.array([1.0, 2.0, -0.5])
+        out = np.empty(3)
+        assert obj.grad_step(y, out) is out
+        np.testing.assert_array_equal(out, y + 2.0 * c)
+        x, trace = pb_apg(obj, np.zeros(3), ApgConfig(epsilon=1e-3,
+                                                      max_iters=30))
+        assert trace.total_iterations == 30 and np.all(np.isfinite(x))
+        # the L1-ball minimizer of ||x + 2c||^2 puts its mass on -c[1]
+        np.testing.assert_allclose(x, [0.0, 1.0, 0.0], atol=1e-6)
+        np.testing.assert_array_equal(c, [0.3, -1.2, 0.5])
+        assert g1.grad(y) is c
+
 
 class TestScaledView:
     def test_reported_constants_scale(self):
@@ -426,6 +450,16 @@ def _nan_cases():
          ValueError, "the iteration budget is not finite"),
         ("sc_budget_ratio", lambda: sc_budget(1.0, 0.5, 1e10, 5e-324),
          ValueError, "the iteration budget is not finite"),
+        # an infinite L1 weight gave NaN at 0; a negative tau built a
+        # nonconvex upper level that pb_apg ran silently to its cap
+        ("l1_norm_inf", lambda: NonsmoothTerm.l1_norm(inf),
+         ValueError, "l1 weight must be positive and finite"),
+        *((f"squared_norm_{v}", lambda v=v: squared_norm_term(v),
+           ValueError, "squared-norm weight must be nonnegative and finite")
+          for v in (-1.0, nan, inf)),
+        ("elastic_net_tau", lambda: elastic_net_problem(
+            A, b, tau=-0.5, l_f=1.0),
+         ValueError, "squared-norm weight must be nonnegative and finite"),
         ("lower_lipschitz", lambda: lower_opt_value(
             dataclasses.replace(inst, g1=dataclasses.replace(
                 inst.g1, lipschitz_grad=nan))),

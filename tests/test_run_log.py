@@ -1,6 +1,7 @@
 """The ``sbopt`` run log: silent by default, DEBUG records at G*
 checkpoints, F* gammas and ladder stages, and a WARNING whenever an engine
-run, a ladder stage or a reference run ends on its iteration cap."""
+run, a ladder stage or a reference run ends on its iteration cap, or a
+min-norm G* fails its certificate."""
 
 import logging
 import os
@@ -15,7 +16,7 @@ from helpers import toy_quadratic_instance
 from sbopt.adaptive import LadderConfig, apb_apg
 from sbopt.apg import ApgConfig
 from sbopt.bench.run import build_config, run_experiment
-from sbopt.bench.synth import synth_instance, synth_lrp
+from sbopt.bench.synth import synth_instance, synth_lrp, synth_lsrp
 from sbopt.errors import Nonconvergence
 from sbopt.model import min_norm_problem
 from sbopt.reference import lower_opt_value, upper_opt_value
@@ -83,20 +84,26 @@ def test_capped_engine_run_in_an_experiment(caplog, tmp_path):
         "pb_apg ended on its 5-iteration cap"]
 
 
-@pytest.mark.parametrize("which", ["lower", "upper"])
+@pytest.mark.parametrize("which", ["lower", "upper", "min_norm"])
 def test_capped_reference_run_warns_and_raises(caplog, which):
     caplog.set_level(logging.WARNING, logger="sbopt")
     rng = np.random.default_rng(11)
     # the L1 ball binds, so G* takes the accelerated route
     inst = min_norm_problem(rng.normal(size=(20, 5)), rng.normal(size=20),
                             l1_radius=0.5)
-    with pytest.raises(Nonconvergence):
+    with pytest.raises(Nonconvergence) as raised:
         if which == "lower":
             # the gradient-mapping norm first meets 1e-300, at 0.0, after
             # 41 iterations; at 20 it is 1.9e-9
             lower_opt_value(inst, tolerance=1e-300, max_iters=20)
-        else:
+        elif which == "upper":
             upper_opt_value(inst, lower_opt_value(inst).g_star,
                             max_iters_per_solve=2)
+        else:
+            # the scaled normal-equation residual is 2.6e-17, above 1e-30
+            lower_opt_value(synth_lsrp(100, 190, 3), tolerance=1e-30)
     (message,) = _messages(caplog, logging.WARNING)
-    assert "cap" in message
+    if which == "min_norm":
+        assert "certificate" in message and raised.value.certificate > 0
+    else:
+        assert "cap" in message
