@@ -237,16 +237,18 @@ def _raise_decode_error(path, n_features: Optional[int],
 
 
 def minmax_scale(data: Dataset) -> Dataset:
-    """Map every feature column onto [0, 1]; constant columns map to 0."""
+    """Map every feature column onto [0, 1] as a new float64 matrix, the only
+    array of its size the scaling allocates; constant columns map to +0.0."""
     if data.n_rows < 1:
         raise ValueError("minmax_scale needs at least one row")
     X = data.features
     lo = X.min(axis=0)
-    hi = X.max(axis=0)
-    span = hi - lo
-    scaled = np.zeros_like(X)
+    span = np.subtract(X.max(axis=0), lo, dtype=float)
+    scaled = np.subtract(X, lo, dtype=float)
     nz = span > 0
-    scaled[:, nz] = (X[:, nz] - lo[nz]) / span[nz]
+    np.divide(scaled, span, out=scaled, where=nz)
+    # a constant column of X - lo holds -0.0 where x is -0.0 and lo is +0.0
+    scaled[:, ~nz] = 0.0
     return Dataset(scaled, data.labels)
 
 

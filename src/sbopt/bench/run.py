@@ -299,14 +299,15 @@ def _build_instance(cfg: ExperimentConfig) -> BilevelInstance:
         instance = synth_instance("lsrp", cfg.m, cfg.n, cfg.seed, tau=cfg.tau)
     elif cfg.problem == "lrp-libsvm":
         data = parse_libsvm_path(cfg.data, coerce_binary_labels=True)
-        instance = logistic_min_norm_problem(data.to_dense(), data.labels,
+        # the loss term keeps its own read-only copy of the matrix
+        instance = logistic_min_norm_problem(data.features, data.labels,
                                              l1_radius=cfg.theta)
     else:  # lsrp-libsvm: scale to [0,1], add intercept and collinear columns
         data = parse_libsvm_path(cfg.data)
         data = minmax_scale(data)
         data = augment_collinear(data, copies=min(90, data.n_cols),
                                  add_intercept=True)
-        instance = elastic_net_problem(data.to_dense(), data.labels, tau=cfg.tau)
+        instance = elastic_net_problem(data.features, data.labels, tau=cfg.tau)
     if overrides:
         instance = dataclasses.replace(instance, **overrides)
     return instance

@@ -1,6 +1,7 @@
 """Experiment harness: config validation, CSV schema, determinism, exit codes."""
 
 import json
+import tracemalloc
 import typing
 
 import numpy as np
@@ -9,6 +10,8 @@ import pytest
 from sbopt.bench import cli as cli_module
 from sbopt.bench import run as run_module
 from sbopt.bench.cli import main as cli_main
+from sbopt.bench.data import (augment_collinear, minmax_scale,
+                              parse_libsvm_path)
 from sbopt.bench.run import (CSV_HEADER, SUMMARY_HEADER, ExperimentConfig,
                              build_config, parse_config_file, run_experiment)
 from sbopt.errors import ConfigError, Nonconvergence
@@ -309,6 +312,36 @@ class TestLibsvmProblem:
             outputs.append([(out / name).read_bytes()
                             for name in ("pb_apg.csv", "summary.csv")])
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("problem", ["lrp-libsvm", "lsrp-libsvm"])
+    def test_build_holds_two_copies_of_the_matrix(self, tmp_path, problem):
+        # 300 x 80 0/1 features at 10 % density, 0/1 labels; the build holds
+        # the parsed (for lsrp: scaled and augmented) matrix and the loss
+        # term's private copy, plus the parser's 24 bytes per nonzero
+        rng = np.random.default_rng(5)
+        X = rng.random((300, 80)) < 0.1
+        X[0] = True  # every column holds a nonzero, so the width is 80
+        path = tmp_path / "data.libsvm"
+        path.write_text("".join(
+            " ".join([str(int(rng.random() < 0.5))]
+                     + [f"{j + 1}:1" for j in np.flatnonzero(row)]) + "\n"
+            for row in X))
+        cfg = build_config({"problem": problem, "data": str(path),
+                            "solvers": "pb_apg", "gamma": 1e4})
+        tracemalloc.start()
+        try:
+            instance = run_module._build_instance(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        A = instance.g1.payload[0]
+        assert peak <= 2.2 * A.nbytes
+        if problem == "lrp-libsvm":
+            fresh = parse_libsvm_path(path, coerce_binary_labels=True)
+        else:
+            fresh = augment_collinear(minmax_scale(parse_libsvm_path(path)),
+                                      copies=80, add_intercept=True)
+        assert A.tobytes() == fresh.to_dense().tobytes()
 
 
 class TestCli:

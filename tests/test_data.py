@@ -1,5 +1,7 @@
 """LIBSVM parsing, scaling, collinear augmentation, synthetic generators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -199,6 +201,38 @@ class TestMinmaxScale:
         assert S.min() >= 0.0 and S.max() <= 1.0
         np.testing.assert_allclose(S.min(axis=0), 0.0, atol=1e-15)
         np.testing.assert_allclose(S.max(axis=0), 1.0, atol=1e-15)
+
+    def test_integer_features_scale_to_floats(self):
+        X = np.array([[0, 5], [2, 10], [4, 0]])
+        S = minmax_scale(Dataset(X, np.zeros(3))).features
+        assert S.dtype == np.float64
+        np.testing.assert_array_equal(S, [[0, 0.5], [0.5, 1], [1, 0]])
+
+    def test_constant_signed_zero_columns_map_to_positive_zero(self):
+        # either zero may be a column's minimum, and x - lo is -0.0 where x
+        # is -0.0 and lo is +0.0
+        X = np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, 2.0], [0.0, -0.0, 3.0]])
+        S = minmax_scale(Dataset(X, np.zeros(3))).features
+        assert not np.signbit(S[:, :2]).any()
+        np.testing.assert_array_equal(S[:, 2], [0.0, 0.5, 1.0])
+
+    def test_allocates_one_matrix(self):
+        rng = np.random.default_rng(3)
+        # large enough that NumPy's fixed 64 KiB ufunc buffer stays small
+        X = (rng.random((1000, 120)) < 0.1).astype(float)
+        X[:, 7] = 1.0  # a constant column
+        d = Dataset(X, np.zeros(1000))
+        tracemalloc.start()
+        try:
+            S = minmax_scale(d).features
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * X.nbytes
+        lo, span = X.min(axis=0), X.max(axis=0) - X.min(axis=0)
+        nz = span > 0
+        np.testing.assert_array_equal(S[:, nz], (X[:, nz] - lo[nz]) / span[nz])
+        np.testing.assert_array_equal(S[:, ~nz], 0.0)
 
 
 class TestAugmentCollinear:
