@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import threading
 import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -43,10 +44,13 @@ def is_count(value, least: int = 0) -> bool:
 class SmoothTerm:
     """A convex function with value/gradient oracles and known constants.
 
-    ``lipschitz_grad`` bounds the gradient's Lipschitz constant;
-    ``strong_convexity`` is 0 for merely convex terms.  ``tag``/``payload``
-    carry the loss family and its data for the shipped losses, so reference
-    computations can pick closed-form routes; ``zero()`` is tagged "zero".
+    ``lipschitz_grad`` bounds the gradient's Lipschitz constant.  It may be
+    given as a zero-argument callable, which the term evaluates once, on the
+    first read, and keeps as a float; concurrent first reads wait for that
+    one evaluation.  ``strong_convexity`` is 0 for merely convex terms.
+    ``tag``/``payload`` carry the loss family and its data for the shipped
+    losses, so reference computations can pick closed-form routes;
+    ``zero()`` is tagged "zero".
     ``assemble_penalized``'s phi of a squared norm and least squares is
     tagged "penalized_least_squares", with (tau, gamma, A, b), so the
     accelerated engine can take its forward step in affine form.
@@ -60,6 +64,12 @@ class SmoothTerm:
     payload: Optional[tuple] = None
     value_grad_oracle: Optional[Callable[[np.ndarray], tuple]] = None
     grad_bound_oracle: Optional[Callable[[float, int], float]] = None
+
+    def __post_init__(self):
+        if callable(self.lipschitz_grad):  # unset until _FirstRead sets it
+            object.__setattr__(self, "_lazy_lipschitz",
+                               (self.lipschitz_grad, threading.Lock()))
+            object.__delattr__(self, "lipschitz_grad")
 
     def value(self, x: np.ndarray) -> float:
         return float(self.value_oracle(x))
@@ -86,6 +96,26 @@ class SmoothTerm:
     @staticmethod
     def zero() -> "SmoothTerm":
         return SmoothTerm(lambda x: 0.0, np.zeros_like, 0.0, 0.0, tag="zero")
+
+
+class _FirstRead:
+    """``SmoothTerm.lipschitz_grad`` before its first read.  A descriptor
+    without __set__ yields to the instance's own attribute, so only that
+    read comes here and later ones find the float; a __getattr__ would make
+    every attribute read of every term several times slower."""
+
+    def __get__(self, term, owner=None):
+        if term is None:
+            return self
+        source, lock = term._lazy_lipschitz
+        with lock:
+            if "lipschitz_grad" not in term.__dict__:
+                object.__setattr__(term, "lipschitz_grad", float(source()))
+        return term.__dict__["lipschitz_grad"]
+
+
+# set after @dataclass, which would take it for the field's default
+SmoothTerm.lipschitz_grad = _FirstRead()
 
 
 _KINDS = ("zero", "l1", "l1_ball", "box", "custom")
@@ -406,8 +436,8 @@ def _affine_step(phi: SmoothTerm):
 
 
 # Arrays derived from a least-squares term's A, by (id(A), name), for as
-# long as A lives: A'A, and the min-norm solver's eigenvectors and 1/lambda.
-# None refers to A, so A's finalizer can drop them.
+# long as A lives: A'A, and the spectrum that gives the min-norm solver and
+# the least-squares L.  None refers to A, so A's finalizer can drop them.
 _GRAMS = {}
 
 
@@ -434,22 +464,27 @@ def _gram(A: np.ndarray) -> np.ndarray:
     return _derived(A, "gram", build)
 
 
-def _min_norm_solver(A):
-    """r -> the minimum-norm minimizer of ||A x - r||, from one eigh of the
-    smaller Gram matrix, AA' or A'A, with eigenvalues at or below max(m, n)
-    eps lam_max, its rounding level, cut (README "Reference values").  A cut
-    counted in Python keeps its peak-RSS cost to LAPACK's 1.5 MB."""
-    A = np.asarray(A, dtype=float)
+def _spectrum(A: np.ndarray):
+    """One eigh of A's smaller Gram matrix, AA' or A'A, which share their
+    nonzero eigenvalues, as (U, 1/lam, lam): the eigenvalues above max(m, n)
+    eps lam_max, their rounding level, ascending from lam_min+ to lam_max,
+    with their eigenvectors; the rest are cut (README "Reference values").
+    A cut counted in Python keeps its peak-RSS cost to LAPACK's 1.5 MB."""
     m, n = A.shape
 
     def build():  # A.T is a view, so its AA' is not kept
         lam, U = np.linalg.eigh(_gram(A if m > n else A.T))
         cut = max(m, n) * np.finfo(float).eps * lam.max(initial=0.0)
         k = sum(v <= cut for v in lam.tolist())  # lam ascends
-        return U[:, k:], 1.0 / lam[k:]
+        return U[:, k:], 1.0 / lam[k:], lam[k:]
+    return _derived(A, "spectrum", build)
 
-    U, s = _derived(A, "min_norm", build)
-    if m <= n:
+
+def _min_norm_solver(A):
+    """r -> the minimum-norm minimizer of ||A x - r||, from ``_spectrum``."""
+    A = np.asarray(A, dtype=float)
+    U, s, _ = _spectrum(A)
+    if A.shape[0] <= A.shape[1]:
         return lambda r: A.T @ (U @ (s * (U.T @ r)))
     return lambda r: U @ (s * (U.T @ (A.T @ r)))
 
@@ -514,10 +549,17 @@ def lipschitz_logistic(A) -> float:
 
 
 def lipschitz_least_squares(A) -> float:
-    """Gradient Lipschitz constant lambda_max(A'A) / m of the mean squared loss."""
+    """Gradient Lipschitz constant lambda_max(A'A) / m of the mean squared
+    loss, from ``_spectrum``, which G* and the F* bracket share, times
+    1 + 2 m n eps: that covers the error of forming the Gram matrix (at
+    most m n eps/2 lambda_max) and eigh's smaller backward error, so L is
+    not below the true constant, as the APG rate needs (README "Oracles")."""
     A = np.asarray(A, dtype=float)
-    m = A.shape[0]
-    return lambda_max_gram(A) / m
+    m, n = A.shape
+    lam = _spectrum(A)[2]
+    if not lam.size:  # a zero matrix
+        return 0.0
+    return float(lam[-1]) * (1.0 + 2.0 * m * n * np.finfo(float).eps) / m
 
 
 # Each loss is three functions, and each formula exists once: ``parts``
@@ -569,8 +611,16 @@ def _least_squares_grad(A, b, r, mv=np.matmul):
     return g
 
 
-_LOGISTIC = (_logistic_parts, _logistic_value, _logistic_grad)
-_LEAST_SQUARES = (_least_squares_parts, _least_squares_value, _least_squares_grad)
+def _plus_minus_one(b):
+    # the logistic loss and its grad-bound oracle assume |b_i| = 1
+    if not (np.abs(b) == 1.0).all():
+        raise ValueError("logistic labels must be +1 or -1")
+
+
+# (parts, value, grad, the label check or None)
+_LOGISTIC = (_logistic_parts, _logistic_value, _logistic_grad, _plus_minus_one)
+_LEAST_SQUARES = (_least_squares_parts, _least_squares_value,
+                  _least_squares_grad, None)
 
 
 def _public_value_grad(loss, A, b, x):
@@ -580,7 +630,9 @@ def _public_value_grad(loss, A, b, x):
     if A.ndim != 2 or A.shape[0] != b.shape[0] or A.shape[1] != x.shape[0]:
         raise DimensionMismatch(
             f"A is {A.shape}, b is {b.shape}, x is {x.shape}")
-    parts, value, grad = loss
+    parts, value, grad, check = loss
+    if check is not None:
+        check(b)
     p = parts(A, b, x)
     return value(*p), grad(A, b, *p)
 
@@ -589,7 +641,8 @@ def logistic_value_grad(A, b, x):
     """Mean logistic loss (1/m) sum log(1 + exp(-b_i a_i'x)) and its gradient.
 
     Uses the softplus form max(s, 0) + log1p(exp(-|s|)) so large margins do
-    not overflow.  Labels must be +-1.
+    not overflow.  Labels must be +-1: any other label raises ValueError,
+    after the shape check.
     """
     return _public_value_grad(_LOGISTIC, A, b, x)
 
@@ -617,7 +670,9 @@ def _loss_term(loss, A, b, lipschitz, tag) -> SmoothTerm:
     if A.ndim != 2 or b.shape != A.shape[:1]:
         raise DimensionMismatch(f"A is {A.shape}, b is {b.shape}")
     shape = (A.shape[1],)
-    parts, value, grad = loss
+    parts, value, grad, check = loss
+    if check is not None:
+        check(b)
     # When both sides of A exceed 1, ndarray.dot calls the same BLAS gemv as
     # matmul, at less cost per call; with a side of 1 it takes scalar or
     # dot-product routes, whose rounding and signed zeros can differ.
@@ -641,6 +696,7 @@ def _loss_term(loss, A, b, lipschitz, tag) -> SmoothTerm:
 
 
 def logistic_smooth_term(A, b) -> SmoothTerm:
+    """The mean logistic loss; labels must be +-1, or ValueError."""
     term = _loss_term(_LOGISTIC, A, b, lipschitz_logistic, "logistic")
     # ||grad|| <= mean_i ||a_i|| on all of R^n: labels are +-1 and 0 < sigma < 1
     return dataclasses.replace(term, grad_bound_oracle=lambda radius, dim: float(
@@ -648,7 +704,10 @@ def logistic_smooth_term(A, b) -> SmoothTerm:
 
 
 def least_squares_smooth_term(A, b) -> SmoothTerm:
-    return _loss_term(_LEAST_SQUARES, A, b, lipschitz_least_squares,
+    # L waits for its first read, so building the term decomposes nothing;
+    # by then G* has usually decomposed the term's own copy of A
+    return _loss_term(_LEAST_SQUARES, A, b,
+                      lambda A: lambda: lipschitz_least_squares(A),
                       "least_squares")
 
 
@@ -689,9 +748,10 @@ def min_norm_problem(A, b, l1_radius: Optional[float] = None,
     optionally constrained to an L1 ball.
 
     Least-squares residuals satisfy a quadratic-growth error bound, hence
-    alpha = 2 by default; rho = 1 is a placeholder (the sharp constant is
-    2m over the smallest positive eigenvalue of A'A) and should be passed
-    explicitly for derived-mode penalties."""
+    alpha = 2 by default; rho = 1 is a placeholder, to be passed explicitly
+    for derived-mode penalties.  The sharp constant, 2m over the smallest
+    positive eigenvalue of A'A, is in the spectrum that gives G* and L, but
+    is not the default yet."""
     A = np.asarray(A, dtype=float)
     n = A.shape[1]
     g2 = (NonsmoothTerm.indicator_l1_ball(l1_radius)
@@ -731,7 +791,7 @@ def elastic_net_problem(A, b, tau: float = 0.02,
     upper objective (tau/2)||x||^2 + ||x||_1.
 
     The lower level is least squares, so alpha = 2 by default with rho = 1
-    as an overridable placeholder."""
+    as an overridable placeholder (see ``min_norm_problem``)."""
     A = np.asarray(A, dtype=float)
     n = A.shape[1]
     if l_f is None:

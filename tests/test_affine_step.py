@@ -152,7 +152,7 @@ class TestGram:
         # a tall A is decomposed through the A'A the affine step uses; a
         # wide one's AA' comes from a view of A, which is not kept
         kept = {name for key, name in _GRAMS if key == id(A)}
-        assert kept == ({"gram", "min_norm"} if m > n else {"min_norm"})
+        assert kept == ({"gram", "spectrum"} if m > n else {"spectrum"})
         if m > n:
             assert _gram(A) is _GRAMS[id(A), "gram"]
         # a writable A, or a view that its base may change, is never kept

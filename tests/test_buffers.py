@@ -9,11 +9,12 @@ import threading
 import numpy as np
 import pytest
 
+from helpers import eigh_calls
 from sbopt.adaptive import LadderConfig, apb_apg, apb_apg_sc
 from sbopt.apg import ApgConfig, pb_apg, pb_apg_sc
 from sbopt.bench.run import _subgrad_baseline
 from sbopt.bench.synth import synth_lrp, synth_lsrp
-from sbopt.model import assemble_penalized
+from sbopt.model import assemble_penalized, least_squares_smooth_term
 from sbopt.reference import lower_opt_value
 from sbopt.subgrad import Diminishing, SubgradConfig, subgrad_solve
 
@@ -117,6 +118,28 @@ class TestSharedObjective:
         for (x_s, tr_s), (x_t, tr_t) in zip(serial, results):
             assert x_t.tobytes() == x_s.tobytes()
             assert _trace_rows(tr_t) == _trace_rows(tr_s)
+
+    def test_first_reads_of_a_lazy_constant(self, monkeypatch):
+        # a least-squares term's L is evaluated on its first read; threads
+        # that read it first at once all get the one float, from one eigh
+        A, b = synth_lsrp(30, 45, 2).g1.payload
+        want = least_squares_smooth_term(A, b).lipschitz_grad
+        shapes = eigh_calls(monkeypatch)
+        term = least_squares_smooth_term(A, b)
+        start = threading.Barrier(THREADS)
+        results, errors = [None] * THREADS, []
+
+        def work(i):
+            try:
+                start.wait(timeout=60)
+                results[i] = term.lipschitz_grad
+            except BaseException as exc:  # a thread's error fails the test
+                errors.append(exc)
+
+        _run_threads(work, THREADS)
+        assert errors == []
+        assert all(type(L) is float and L == want for L in results)
+        assert shapes == [(30, 30)]
 
     def test_threads_subgrad(self, lrp):
         instance, x_ref = lrp

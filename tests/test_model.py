@@ -6,16 +6,21 @@ import numpy as np
 import pytest
 
 import sbopt
-from helpers import central_diff, toy_quadratic_instance
+import sbopt.model
+from helpers import central_diff, eigh_calls, toy_quadratic_instance
 from sbopt.adaptive import LadderConfig, apb_apg, ladder_entry_index
 from sbopt.apg import ApgConfig, iteration_budget, pb_apg, pb_apg_sc, sc_budget
+from sbopt.bench.data import Dataset, augment_collinear
+from sbopt.bench.synth import synth_lsrp
 from sbopt.errors import (DimensionMismatch, InvalidErrorBound, InvalidLadder,
                           InvalidStrongConvexity, NonComposableProx,
                           Nonconvergence, UnsupportedTerm)
 from sbopt.model import (BilevelInstance, NonsmoothTerm, SmoothTerm,
                          assemble_penalized, lambda_max_gram,
-                         least_squares_value_grad, lipschitz_least_squares,
-                         lipschitz_logistic, logistic_value_grad, max_affine,
+                         least_squares_smooth_term, least_squares_value_grad,
+                         lipschitz_least_squares, lipschitz_logistic,
+                         logistic_min_norm_problem, logistic_smooth_term,
+                         logistic_value_grad, max_affine,
                          elastic_net_problem, min_norm_problem,
                          squared_norm_term)
 from sbopt.penalty import gamma_star, gamma_total, suboptimality_lower_bound
@@ -45,6 +50,57 @@ class TestLipschitzCalculators:
             lam = lambda_max_gram(A)
             expected = float(np.linalg.eigvalsh(A.T @ A)[-1])
             assert lam == pytest.approx(expected, rel=1e-8)
+
+    @pytest.mark.parametrize("kind, seed", [
+        *(("synth_lsrp", seed) for seed in range(3, 23)),
+        ("tall", 0), ("collinear", 0)])
+    def test_least_squares_bounds_the_true_constant(self, kind, seed):
+        # the APG rate needs L >= sigma_max(A)^2 / m; a power iteration's
+        # Rayleigh quotient is below it.  The round-up stays tight
+        rng = np.random.default_rng(seed)
+        if kind == "synth_lsrp":
+            A, b = synth_lsrp(100, 190, seed).g1.payload
+        elif kind == "tall":
+            A, b = rng.normal(size=(300, 40)), rng.normal(size=300)
+        else:  # 60 x 25 of rank 13: 12 duplicated columns and an intercept
+            data = augment_collinear(
+                Dataset(rng.normal(size=(60, 12)), rng.normal(size=60)),
+                copies=12, add_intercept=True)
+            A, b = data.features, data.labels
+        true = np.linalg.svd(A, compute_uv=False)[0] ** 2 / A.shape[0]
+        for L in (lipschitz_least_squares(A),
+                  least_squares_smooth_term(A, b).lipschitz_grad):
+            assert true <= L <= true * (1.0 + 1e-10)
+
+
+class TestSetUpSpectralWork:
+    """Building a least-squares term decomposes nothing: its L is read
+    from the spectrum that G* decomposes, on the first read."""
+
+    def test_building_calls_no_eigensolver(self, monkeypatch):
+        shapes, power, real = eigh_calls(monkeypatch), [], lambda_max_gram
+        monkeypatch.setattr(sbopt.model, "lambda_max_gram",
+                            lambda A: power.append(1) or real(A))
+        rng = np.random.default_rng(1)
+        instances = [synth_lsrp(100, 190, 3),
+                     elastic_net_problem(rng.normal(size=(30, 12)),
+                                         rng.normal(size=30))]
+        assert shapes == [] and power == []
+        # the first read decomposes once; later reads and G* reuse it
+        for inst in instances:
+            L = inst.g1.lipschitz_grad
+            assert type(L) is float and inst.g1.lipschitz_grad is L
+            lower_opt_value(inst)
+        assert shapes == [(100, 100), (12, 12)] and power == []
+
+    def test_a_callable_constant_is_evaluated_once(self):
+        calls = []
+        term = SmoothTerm(lambda x: 0.0, np.zeros_like,
+                          lambda: calls.append(1) or np.float64(2.5))
+        assert calls == []
+        assert [term.lipschitz_grad for _ in range(3)] == [2.5] * 3
+        assert type(term.lipschitz_grad) is float and calls == [1]
+        assert dataclasses.replace(term, tag="t").lipschitz_grad == 2.5
 
 
 class TestLogisticOracle:
@@ -82,6 +138,23 @@ class TestLogisticOracle:
             logistic_value_grad(np.eye(2), np.ones(3), np.zeros(2))
         with pytest.raises(DimensionMismatch):
             least_squares_value_grad(np.eye(2), np.ones(2), np.zeros(3))
+
+    @pytest.mark.parametrize("labels", [[0.0, 1.0], [2.0, -1.0],
+                                        [1.0, np.nan], [0.5, 1.0]])
+    def test_labels_must_be_plus_or_minus_one(self, labels):
+        # 0/1 labels would give log 2 at 0 and a wrong gradient bound
+        A, b = np.eye(2), np.array(labels)
+        with pytest.raises(ValueError, match="labels"):
+            logistic_value_grad(A, b, np.zeros(2))
+        with pytest.raises(ValueError, match="labels"):
+            logistic_smooth_term(A, b)
+        with pytest.raises(ValueError, match="labels"):
+            logistic_min_norm_problem(A, b)
+        # the shape check comes first
+        with pytest.raises(DimensionMismatch):
+            logistic_smooth_term(A, np.zeros(3))
+        # least squares takes any target
+        least_squares_smooth_term(A, b)
 
 
 class TestSmoothTermContracts:
