@@ -71,8 +71,9 @@ def main(argv=None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
-    print(f"G* = {report.g_star:.12e}   "
-          f"F* = {report.f_star:.12e} (relaxation {report.relaxation:g})")
+    lower, upper = report.lower, report.upper
+    print(f"G* = {lower.g_star:.12e}   F* = {upper.f_star:.12e} "
+          f"(relaxation {upper.relaxation_epsilon:g})")
     for name, res in report.solvers.items():
         if res.error is not None:
             print(f"{name:>12}: ERROR {res.error}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import math
 import os
+import re
 from array import array
 from dataclasses import dataclass
 from itertools import islice
@@ -51,16 +52,24 @@ INT64_MAX = int(np.iinfo(np.int64).max)
 _NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b": ")))
 # binary label coercion; -0.0 looks up as 0.0, and nan finds no key
 _COERCED = {1.0: 1.0, -1.0: -1.0, 0.0: -1.0}
+# the stand-ins that errors="surrogateescape" decodes bytes 0x80-0xff to
+_STAND_IN = re.compile("[\udc80-\udcff]")
 
 
 def _raise_first_error(block: List[str], first_line_no: int,
                        n_features: Optional[int],
                        coerce_binary_labels: bool) -> NoReturn:
     """Raise the ParseError of the first bad token of ``block``, checking
-    each data line's label, then each feature token's shape, number,
-    finiteness, base, order, width and int64 range, in file order."""
+    each line for a byte stand-in, then each data line's label, then each
+    feature token's shape, number, finiteness, base, order, width and int64
+    range, in file order."""
     isfinite = math.isfinite
     for line_no, line in enumerate(block, start=first_line_no):
+        stand_in = _STAND_IN.search(line)
+        if stand_in:
+            byte = ord(stand_in.group()) - 0xDC00
+            raise ParseError(f"byte 0x{byte:02x} is not UTF-8 text",
+                             line=line_no)
         tokens = line.split()
         if not tokens or tokens[0].startswith("#"):
             continue
@@ -105,8 +114,11 @@ def _raise_first_error(block: List[str], first_line_no: int,
 def _convert_block(block: List[str], row0: int, n_features: Optional[int],
                    coerce_binary_labels: bool):
     """The labels (a list) and the (row, index, value) nonzeros (arrays) of
-    one block's data lines, or None when some token fails a check; rows
-    count from ``row0``."""
+    one block's data lines, or None when some token fails a check or some
+    line, a comment too, holds a byte stand-in; rows count from ``row0``."""
+    text = "".join(block)
+    if not text.isascii() and _STAND_IN.search(text):
+        return None
     labels: List[str] = []
     starts: List[int] = []
     counts: List[int] = []
@@ -160,8 +172,11 @@ def parse_libsvm(lines: Iterable[str], n_features: Optional[int] = None,
     {0, 1, -1, +1} map onto {-1, +1}.  Raises ParseError with the 1-based
     line number of the first malformed token in file order, and on a label or
     value that is not finite (nan, inf, or a literal past the float range
-    such as 1e400) or an index past the int64 range.  A string is split into
-    lines as a file is read: only "\\n", "\\r" and "\\r\\n" end a line.
+    such as 1e400) or an index past the int64 range.  A character in
+    U+DC80-U+DCFF, anywhere on a line, stands for the byte 0x80-0xff that
+    ``errors="surrogateescape"`` decoded it from: it raises ParseError naming
+    that byte.  A string is split into lines as a file is read: only "\\n",
+    "\\r" and "\\r\\n" end a line.
 
     Lines are read in blocks of ``BLOCK_LINES``.  Each line is split once;
     each block's tokens go through Python's own ``int`` and ``float``, so
@@ -205,35 +220,15 @@ def parse_libsvm_path(path, n_features: Optional[int] = None,
                       coerce_binary_labels: bool = False) -> Dataset:
     """``parse_libsvm`` on a file, which must hold at least one data row: a
     file that is empty, or only blank and comment lines, raises ParseError.
-    The file must be UTF-8: a byte that is not raises ParseError naming its
-    line, unless an earlier line is malformed."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = parse_libsvm(fh, n_features=n_features,
-                                coerce_binary_labels=coerce_binary_labels)
-    except UnicodeDecodeError:
-        _raise_decode_error(path, n_features, coerce_binary_labels)
+    The file is read once, as UTF-8 with ``errors="surrogateescape"``: a
+    byte that is not UTF-8 raises ParseError naming its line, unless an
+    earlier line is malformed."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        data = parse_libsvm(fh, n_features=n_features,
+                            coerce_binary_labels=coerce_binary_labels)
     if data.n_rows == 0:
         raise ParseError(f"{os.path.basename(path)} has no data rows")
     return data
-
-
-def _raise_decode_error(path, n_features: Optional[int],
-                        coerce_binary_labels: bool) -> NoReturn:
-    """Raise the first error of a file that is not UTF-8, in line order: a
-    malformed line before the first undecodable byte, else that byte."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        lines = fh.readlines()
-    for line_no, line in enumerate(lines, start=1):
-        try:
-            line.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            parse_libsvm(lines[:line_no - 1], n_features=n_features,
-                         coerce_binary_labels=coerce_binary_labels)
-            byte = ord(line[exc.start]) - 0xDC00
-            raise ParseError(f"byte 0x{byte:02x} is not UTF-8 text",
-                             line=line_no)
-    raise AssertionError("no undecodable byte on a second read")
 
 
 def minmax_scale(data: Dataset) -> Dataset:

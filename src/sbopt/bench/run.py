@@ -27,7 +27,7 @@ from ..apg import ApgConfig, gradient_mapping_norm, pb_apg, pb_apg_sc
 from ..errors import ConfigError, InvalidLadder, SboptError, UnsupportedTerm
 from ..model import (BilevelInstance, NonsmoothTerm, assemble_penalized,
                      elastic_net_problem, is_count, logistic_min_norm_problem)
-from ..reference import lower_opt_value, upper_opt_value
+from ..reference import ReferenceReport, lower_opt_value, upper_opt_value
 from ..subgrad import (Diminishing, Domain, SubgradConfig, assemble_nonsmooth,
                        subgrad_solve, subgradient_oracle)
 from .data import augment_collinear, minmax_scale, parse_libsvm_path
@@ -50,6 +50,15 @@ ORACLE_CALL_KEYS = ("gradient", "prox", "value", "projection")
 KNOWN_SOLVERS = ("pb_apg", "apb_apg", "pb_apg_sc", "apb_apg_sc", "subgrad")
 KNOWN_PROBLEMS = ("lrp-synth", "lsrp-synth", "lrp-libsvm", "lsrp-libsvm")
 
+# Benchmark parameter set: direct penalty 1e5, practical step stop 1e-10,
+# ladder 1/32 * 20^k with accuracies 1e-6 / 10^k down to 1e-10.
+_BENCH: Dict[str, object] = {
+    "solvers": "pb_apg,apb_apg,pb_apg_sc,apb_apg_sc",
+    "gamma": 1e5, "gamma0": 1.0 / 32.0, "nu": 20.0, "eta": 10.0,
+    "epsilon0": 1e-6, "stop_epsilon": 1e-10, "step_tol": 1e-10,
+    "restart": True, "cert_g_target": 1e-7, "record_every": 100,
+}
+
 PRESETS: Dict[str, Dict[str, object]] = {
     # Desk-scale single-solver smoke run.
     "lrp-desk": {
@@ -57,22 +66,10 @@ PRESETS: Dict[str, Dict[str, object]] = {
         "solvers": "pb_apg", "gamma": 1e4, "step_tol": 1e-10,
         "restart": True, "cert_g_target": 1e-7, "record_every": 100,
     },
-    # Benchmark parameter set: direct penalty 1e5, practical step stop 1e-10,
-    # ladder 1/32 * 20^k with accuracies 1e-6 / 10^k down to 1e-10.
-    "lrp-bench": {
-        "problem": "lrp-synth", "m": 200, "n": 50, "seed": 7,
-        "solvers": "pb_apg,apb_apg,pb_apg_sc,apb_apg_sc",
-        "gamma": 1e5, "gamma0": 1.0 / 32.0, "nu": 20.0, "eta": 10.0,
-        "epsilon0": 1e-6, "stop_epsilon": 1e-10, "step_tol": 1e-10,
-        "restart": True, "cert_g_target": 1e-7, "record_every": 100,
-    },
-    "lsrp-bench": {
-        "problem": "lsrp-synth", "m": 100, "n": 190, "seed": 3,
-        "solvers": "pb_apg,apb_apg,pb_apg_sc,apb_apg_sc",
-        "gamma": 1e5, "gamma0": 1.0 / 32.0, "nu": 20.0, "eta": 10.0,
-        "epsilon0": 1e-6, "stop_epsilon": 1e-10, "step_tol": 1e-10,
-        "restart": True, "cert_g_target": 1e-7, "record_every": 100,
-    },
+    "lrp-bench": {"problem": "lrp-synth", "m": 200, "n": 50, "seed": 7,
+                  **_BENCH},
+    "lsrp-bench": {"problem": "lsrp-synth", "m": 100, "n": 190, "seed": 3,
+                   **_BENCH},
     # Requires a user-supplied LIBSVM file via data=...; advisory targets.
     "lrp-a1a": {
         "problem": "lrp-libsvm", "solvers": "pb_apg",
@@ -135,14 +132,8 @@ class SolverResult:
 @dataclass
 class RunReport:
     config: dict
-    g_star: float = math.nan
-    g_star_certificate: float = math.nan
-    g_star_method: str = ""
-    g_star_iterations: int = 0
-    f_star: float = math.nan
-    relaxation: float = math.nan
-    achieved_relaxation_gap: float = math.nan
-    f_star_record: dict = field(default_factory=dict)  # F_STAR_KEYS
+    lower: ReferenceReport  # G*, as lower_opt_value returns it
+    upper: ReferenceReport  # F*, as upper_opt_value returns it
     solvers: Dict[str, SolverResult] = field(default_factory=dict)
     wall_total: float = 0.0
     files: List[str] = field(default_factory=list)
@@ -440,17 +431,18 @@ def _write_summary_csv(path: str, report: RunReport) -> None:
 
 
 def _report_json(report: RunReport, fixed_clock: bool) -> str:
+    lower, upper = report.lower, report.upper
     payload = {
         "config": report.config,
         "references": {
-            "g_star": report.g_star,
-            "g_star_certificate": report.g_star_certificate,
-            "g_star_method": report.g_star_method,
-            "g_star_iterations": report.g_star_iterations,
-            "f_star": report.f_star,
-            "relaxation": report.relaxation,
-            "achieved_relaxation_gap": report.achieved_relaxation_gap,
-            **report.f_star_record,
+            "g_star": lower.g_star,
+            "g_star_certificate": lower.residual_certificate,
+            "g_star_method": lower.method,
+            "g_star_iterations": lower.iterations,
+            "f_star": upper.f_star,
+            "relaxation": upper.relaxation_epsilon,
+            "achieved_relaxation_gap": upper.achieved_lower_gap,
+            **{key: getattr(upper, key) for key in F_STAR_KEYS},
         },
         "solvers": {
             name: {
@@ -491,16 +483,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     ref = lower_opt_value(instance)
     instance = instance.with_lower_opt_value(ref.g_star)
     upper = upper_opt_value(instance, ref.g_star, relaxation=cfg.relaxation)
-
-    report = RunReport(config=dataclasses.asdict(cfg))
-    report.g_star = ref.g_star
-    report.g_star_certificate = ref.residual_certificate
-    report.g_star_method = ref.method
-    report.g_star_iterations = ref.iterations
-    report.f_star = upper.f_star
-    report.relaxation = cfg.relaxation
-    report.achieved_relaxation_gap = upper.achieved_lower_gap
-    report.f_star_record = {k: getattr(upper, k) for k in F_STAR_KEYS}
+    report = RunReport(dataclasses.asdict(cfg), ref, upper)
 
     for name in cfg.solvers:
         res = SolverResult(name=name)

@@ -264,7 +264,7 @@ def test_criterion_9_desk_experiments(tmp_path):
         family = "lrp" if preset.startswith("lrp") else "lsrp"
         instance = synth_instance(family, cfg.m, cfg.n, cfg.seed)
         ref = lower_opt_value(instance)
-        instance = instance.with_lower_opt_value(report.g_star)
+        instance = instance.with_lower_opt_value(report.lower.g_star)
         objective, domain, radius = _subgrad_baseline(instance, cfg.gamma,
                                                       ref.x)
         wall = max(report.solvers[n].wall_seconds for n in apg_solvers)

@@ -137,11 +137,11 @@ class TestRunExperiment:
         assert summary[1].endswith(",pass")
         payload = json.loads((tmp_path / "report.json").read_text())
         refs = payload["references"]
-        assert refs["g_star"] == report.g_star
+        assert refs["g_star"] == report.lower.g_star
         # the evidence behind G*: the logistic lower level takes the
         # certified accelerated route and reports the iterations it ran
-        assert refs["g_star_method"] == report.g_star_method == "accelerated_restart"
-        assert refs["g_star_iterations"] == report.g_star_iterations > 0
+        assert refs["g_star_method"] == report.lower.method == "accelerated_restart"
+        assert refs["g_star_iterations"] == report.lower.iterations > 0
         # why the solver stopped and how often its momentum restarted
         solver = payload["solvers"]["pb_apg"]
         (_, _, trace), = report.solvers["pb_apg"].segments
@@ -157,12 +157,37 @@ class TestRunExperiment:
         inst_gaps = {}
         from sbopt.bench.synth import synth_lrp
         inst = synth_lrp(40, 10, 7)
-        inst = inst.with_lower_opt_value(report.g_star)
+        inst = inst.with_lower_opt_value(report.lower.g_star)
         for name, res in report.solvers.items():
             g = inst.lower_gap(res.x_final)
-            f = inst.upper_value(res.x_final) - report.f_star
+            f = inst.upper_value(res.x_final) - report.upper.f_star
             assert abs(g - res.lower_gap) <= 1e-12
             assert abs(f - res.upper_gap) <= 1e-12
+
+    def test_derived_gamma_is_planned_and_certified(self):
+        # with no gamma, the gamma comes from the penalty plan of the
+        # instance's alpha (2 for lrp) and the rho and lf overrides, and
+        # pb_apg's certificate is penalty.certify at its final iterate
+        import dataclasses
+
+        from sbopt import penalty
+        from sbopt.bench.synth import synth_instance
+        cfg = build_config({"problem": "lrp-synth", "m": 200, "n": 50,
+                            "seed": 7, "solvers": "pb_apg,subgrad",
+                            "epsilon": 1e-3, "beta": 1.0, "rho": 2.0,
+                            "lf": 10.0})
+        report = run_experiment(cfg)
+        plan = penalty.make_plan(2.0, 2.0, 10.0, 1e-3, 1.0)
+        for res in report.solvers.values():
+            assert res.error is None
+            assert [gamma for gamma, _, _ in res.segments] == [plan.gamma]
+        inst = dataclasses.replace(synth_instance("lrp", 200, 50, 7),
+                                   rho=2.0, subgrad_diameter=10.0)
+        inst = inst.with_lower_opt_value(report.lower.g_star)
+        res = report.solvers["pb_apg"]
+        cert = penalty.certify(inst, res.x_final, plan,
+                               f_star=report.upper.f_star)
+        assert res.cert_passed == cert.passed
 
     def test_deterministic_csv_bytes(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -304,8 +329,8 @@ class TestLibsvmProblem:
             report = run_experiment(cfg)
             res = report.solvers["pb_apg"]
             assert res.x_final.shape == (25,)
-            assert report.g_star_method == "min_norm_least_squares"
-            record = report.f_star_record
+            assert report.lower.method == "min_norm_least_squares"
+            record = vars(report.upper)
             assert record["f_star_method"] == "dual_bracket"
             assert record["f_star_lower"] <= record["f_star_upper"]
             assert res.error is None and res.cert_passed

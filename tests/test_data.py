@@ -1,5 +1,6 @@
 """LIBSVM parsing, scaling, collinear augmentation, synthetic generators."""
 
+import builtins
 import tracemalloc
 
 import numpy as np
@@ -118,6 +119,48 @@ class TestParseLibsvm:
         with pytest.raises(ParseError) as err:
             parse_libsvm_path(str(path))
         assert err.value.line == line and "is not UTF-8 text" in str(err.value)
+
+    def test_file_that_is_not_utf8_is_opened_once(self, tmp_path,
+                                                   monkeypatch):
+        path = tmp_path / "bad.libsvm"
+        path.write_bytes(b"+1 1:1\n" * 300 + b"-1 2:\xe9\n")
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        with pytest.raises(ParseError) as err:
+            parse_libsvm_path(str(path))
+        monkeypatch.undo()
+        assert opened.count(str(path)) == 1
+        assert err.value.line == 301 and "byte 0xe9" in str(err.value)
+
+    @pytest.mark.parametrize("char, stand_in", [
+        ("\ud800", False), ("\udc00", False), ("\udc7f", False),
+        ("\udd00", False), ("\udc80", True), ("\udce9", True),
+        ("\udcff", True)])
+    def test_lone_surrogates_in_a_string(self, char, stand_in):
+        # U+DC80-U+DCFF stand for the bytes 0x80-0xff that surrogateescape
+        # decodes them from, in a label, a feature token or a comment; any
+        # other lone surrogate is a character no number holds, and a
+        # comment may hold it
+        byte = f"byte 0x{ord(char) - 0xDC00:02x} is not UTF-8"
+        cases = {f"-1{char} 2:1": "non-numeric label",
+                 f"-1 2:1{char}": "non-numeric feature token",
+                 f"# {char}": None}
+        for line, want in cases.items():
+            text = f"+1 1:1\n{line}\n-1 3:1\n"
+            if stand_in:
+                want = byte
+            if want is None:
+                assert parse_libsvm(text).n_rows == 2
+                continue
+            with pytest.raises(ParseError) as err:
+                parse_libsvm(text)
+            assert err.value.line == 2 and want in str(err.value)
 
     def test_malformed_line_before_an_undecodable_byte_comes_first(self,
                                                                   tmp_path):

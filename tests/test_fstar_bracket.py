@@ -202,7 +202,7 @@ class TestOneDecomposition:
                             lambda A: pytest.fail("power iteration"))
         report = run_experiment(build_config({"preset": "lsrp-bench",
                                               "out_dir": str(tmp_path)}))
-        assert report.f_star_record["f_star_solves"] == 1
+        assert report.upper.f_star_solves == 1
         assert shapes == [(100, 100)] * 2
 
     def test_tall_elastic_net(self, monkeypatch):
@@ -276,7 +276,7 @@ def test_report_json_records_how_f_star_was_found(tmp_path, problem):
                         "out_dir": str(tmp_path)})
     report = run_experiment(cfg)
     refs = json.loads((tmp_path / "report.json").read_text())["references"]
-    assert refs["f_star"] == report.f_star
+    assert refs["f_star"] == report.upper.f_star
     assert refs["f_star_solves"] >= 1 and refs["f_star_iterations"] >= 1
     if problem == "lsrp-synth":
         assert refs["f_star_method"] == "dual_bracket"

@@ -125,6 +125,33 @@ class TestComposeProx:
             np.testing.assert_allclose(
                 got, project_box(prox_l1(y, t), lo, hi), atol=1e-15)
 
+    def test_box_plus_l1_scales_the_weight_by_gamma(self):
+        # in the gamma slot the l1 weight is gamma * w: 2.5 * 0.4 = 1
+        lo, hi = np.full(3, -1.0), np.full(3, 1.5)
+        spec = compose_prox(NonsmoothTerm.indicator_box(lo, hi),
+                            NonsmoothTerm.l1_norm(0.4), 2.5)
+        y = np.array([3.0, -0.3, 1.2])
+        np.testing.assert_array_equal(
+            spec.prox(y, 0.5), project_box(prox_l1(y, 0.5), lo, hi))
+        np.testing.assert_allclose(spec.prox(y, 0.5), [1.5, 0.0, 0.7])
+
+    def test_box_pair_projects_onto_the_intersection(self):
+        spec = compose_prox(
+            NonsmoothTerm.indicator_box(np.array([-1.0, 0.0]),
+                                        np.array([2.0, 3.0])),
+            NonsmoothTerm.indicator_box(np.array([-2.0, 0.5]),
+                                        np.array([1.0, 4.0])), 7.0)
+        for y, want in (([5.0, -5.0], [1.0, 0.5]), ([-5.0, 5.0], [-1.0, 3.0]),
+                        ([0.25, 1.0], [0.25, 1.0])):
+            np.testing.assert_array_equal(spec.prox(np.array(y), 0.1), want)
+
+    def test_disjoint_boxes_are_not_composable(self):
+        with pytest.raises(NonComposableProx, match="intersection is empty"):
+            compose_prox(NonsmoothTerm.indicator_box(np.zeros(2), np.ones(2)),
+                         NonsmoothTerm.indicator_box(np.array([0.0, 2.0]),
+                                                     np.array([1.0, 3.0])),
+                         1.0)
+
     def test_l1_plus_l1_adds_weights(self):
         spec = compose_prox(NonsmoothTerm.l1_norm(1.0), NonsmoothTerm.l1_norm(2.0), 3.0)
         y = np.array([10.0, -10.0])
