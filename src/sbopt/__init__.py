@@ -21,10 +21,9 @@ from .errors import (ConfigError, DimensionMismatch, InfeasibleStart,
 from .model import (BilevelInstance, NonsmoothTerm, PenalizedObjective,
                     SmoothTerm, assemble_penalized, elastic_net_problem,
                     l_f_elastic_net, l_f_min_norm, lambda_max_gram,
-                    least_squares_smooth_term, least_squares_value_grad,
-                    lipschitz_least_squares, lipschitz_logistic,
-                    logistic_min_norm_problem, logistic_smooth_term,
-                    logistic_value_grad, max_affine, min_norm_problem,
+                    least_squares_smooth_term, lipschitz_least_squares,
+                    lipschitz_logistic, logistic_min_norm_problem,
+                    logistic_smooth_term, max_affine, min_norm_problem,
                     squared_norm_term)
 from .penalty import (Certificate, PenaltyPlan, certify, gamma_star,
                       gamma_total, implied_lower_gap, make_plan,
@@ -37,6 +36,6 @@ from .subgrad import (Diminishing, Domain, StronglyConvex, SubgradConfig,
 
 __version__ = "0.1.0"
 
-# The run log: reference checkpoints, ladder stages and runs that end on
-# their iteration cap.  Silent unless the application configures logging.
+# The run log: reference checkpoints, ladder stages, and runs and power
+# iterations at their cap.  Silent unless the application configures logging.
 logging.getLogger("sbopt").addHandler(logging.NullHandler())

@@ -11,12 +11,15 @@ is a new array, or its oracle's own, which no caller writes to.  A prox,
 projection or ``grad_step`` given an ``out`` array, the caller's, writes its
 result there and changes nothing else.  Instances and objectives are
 immutable after construction, hold no buffers, and are safe to share across
-threads.
+threads.  What is built lazily, a term's L on its first read and the arrays
+derived from a least-squares matrix, is built under one module lock, so
+threads that ask at once share one build.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import logging
 import math
 import threading
 import weakref
@@ -27,7 +30,14 @@ import numpy as np
 
 from . import prox as _prox
 from .errors import (DimensionMismatch, InvalidErrorBound, MissingLowerOpt,
-                     UnsupportedTerm)
+                     Nonconvergence, UnsupportedTerm)
+
+log = logging.getLogger(__name__)
+
+# Held while a lazy value is built: ``_derived``'s arrays and a term's L on
+# its first read.  Re-entrant, as one build may need another (the spectrum
+# needs the Gram matrix, the least-squares L the spectrum).
+_LAZY_LOCK = threading.RLock()
 
 
 def is_count(value, least: int = 0) -> bool:
@@ -47,7 +57,8 @@ class SmoothTerm:
     ``lipschitz_grad`` bounds the gradient's Lipschitz constant.  It may be
     given as a zero-argument callable, which the term evaluates once, on the
     first read, and keeps as a float; concurrent first reads wait for that
-    one evaluation.  ``strong_convexity`` is 0 for merely convex terms.
+    one evaluation, under the module's lazy-build lock.  ``strong_convexity``
+    is 0 for merely convex terms.
     ``tag``/``payload`` carry the loss family and its data for the shipped
     losses, so reference computations can pick closed-form routes;
     ``zero()`` is tagged "zero".
@@ -67,8 +78,7 @@ class SmoothTerm:
 
     def __post_init__(self):
         if callable(self.lipschitz_grad):  # unset until _FirstRead sets it
-            object.__setattr__(self, "_lazy_lipschitz",
-                               (self.lipschitz_grad, threading.Lock()))
+            object.__setattr__(self, "_lazy_lipschitz", self.lipschitz_grad)
             object.__delattr__(self, "lipschitz_grad")
 
     def value(self, x: np.ndarray) -> float:
@@ -107,10 +117,10 @@ class _FirstRead:
     def __get__(self, term, owner=None):
         if term is None:
             return self
-        source, lock = term._lazy_lipschitz
-        with lock:
+        with _LAZY_LOCK:
             if "lipschitz_grad" not in term.__dict__:
-                object.__setattr__(term, "lipschitz_grad", float(source()))
+                object.__setattr__(term, "lipschitz_grad",
+                                   float(term._lazy_lipschitz()))
         return term.__dict__["lipschitz_grad"]
 
 
@@ -443,14 +453,16 @@ _GRAMS = {}
 
 def _derived(A: np.ndarray, name: str, build):
     """build(), kept when A is read-only and owns its data, as a term's
-    private copy does; any other A may change, so it is built anew."""
+    private copy does; any other A may change, so it is built anew.  Threads
+    that ask for a missing array at once share one build."""
     if A.flags.writeable or A.base is not None:
         return build()
     key = (id(A), name)
-    if key not in _GRAMS:
-        _GRAMS[key] = build()
-        weakref.finalize(A, _GRAMS.pop, key, None)
-    return _GRAMS[key]
+    with _LAZY_LOCK:
+        if key not in _GRAMS:
+            _GRAMS[key] = build()
+            weakref.finalize(A, _GRAMS.pop, key, None)
+        return _GRAMS[key]
 
 
 def _gram(A: np.ndarray) -> np.ndarray:
@@ -514,7 +526,9 @@ def lambda_max_gram(A) -> float:
     """Largest eigenvalue of A'A by power iteration with a deterministic start.
 
     Returns 0 for a zero matrix.  Convergence is declared when the Rayleigh
-    quotient changes by at most GRAM_TOL*max(1, lambda) between sweeps.
+    quotient changes by at most GRAM_TOL*max(1, lambda) between sweeps; a
+    quotient still moving after GRAM_MAX_SWEEPS sweeps raises Nonconvergence
+    with the last one, which lies below lambda_max.
     """
     A = np.asarray(A, dtype=float)
     if A.size == 0:
@@ -538,7 +552,9 @@ def lambda_max_gram(A) -> float:
         if abs(lam_new - lam) <= GRAM_TOL * max(1.0, abs(lam_new)):
             return lam_new
         lam = lam_new
-    return lam
+    log.warning("power iteration hit its %d-sweep cap", GRAM_MAX_SWEEPS)
+    raise Nonconvergence(f"power iteration for lambda_max(A'A) hit its "
+                         f"{GRAM_MAX_SWEEPS}-sweep cap", best_value=lam)
 
 
 def lipschitz_logistic(A) -> float:
@@ -564,10 +580,9 @@ def lipschitz_least_squares(A) -> float:
 
 # Each loss is three functions, and each formula exists once: ``parts``
 # computes what value and gradient share, ``value`` and ``grad`` finish
-# from it.  The public *_value_grad functions and the oracles of the shipped
-# terms are all built from these.  ``mv(M, v)`` is the matrix-vector
-# product: np.matmul, or ndarray.dot where _loss_term finds it gives the
-# same bits.
+# from it.  The oracles of the shipped terms are built from these.
+# ``mv(M, v)`` is the matrix-vector product: np.matmul, or ndarray.dot
+# where _loss_term finds it gives the same bits.
 
 def _logistic_parts(A, b, x, mv=np.matmul):
     """Margins t = b * (A x) and z = exp(-|t|), one new array each."""
@@ -623,35 +638,6 @@ _LEAST_SQUARES = (_least_squares_parts, _least_squares_value,
                   _least_squares_grad, None)
 
 
-def _public_value_grad(loss, A, b, x):
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if A.ndim != 2 or A.shape[0] != b.shape[0] or A.shape[1] != x.shape[0]:
-        raise DimensionMismatch(
-            f"A is {A.shape}, b is {b.shape}, x is {x.shape}")
-    parts, value, grad, check = loss
-    if check is not None:
-        check(b)
-    p = parts(A, b, x)
-    return value(*p), grad(A, b, *p)
-
-
-def logistic_value_grad(A, b, x):
-    """Mean logistic loss (1/m) sum log(1 + exp(-b_i a_i'x)) and its gradient.
-
-    Uses the softplus form max(s, 0) + log1p(exp(-|s|)) so large margins do
-    not overflow.  Labels must be +-1: any other label raises ValueError,
-    after the shape check.
-    """
-    return _public_value_grad(_LOGISTIC, A, b, x)
-
-
-def least_squares_value_grad(A, b, x):
-    """Mean squared loss (1/2m) ||Ax - b||^2 and its gradient."""
-    return _public_value_grad(_LEAST_SQUARES, A, b, x)
-
-
 def _frozen_copy(a) -> np.ndarray:
     """A private read-only float copy, so a term's oracles and its cached
     constants cannot drift apart when the caller's array changes."""
@@ -660,11 +646,13 @@ def _frozen_copy(a) -> np.ndarray:
     return a
 
 
-def _loss_term(loss, A, b, lipschitz, tag) -> SmoothTerm:
+def _loss_term(loss, A, b, lipschitz, tag, grad_bound=None) -> SmoothTerm:
     """A shipped loss as a term.  It keeps read-only copies of A and b and
-    checks their shapes here, once; each oracle call then only compares the
-    shape of x.  ``value`` skips the gradient's A'(.) product, ``grad`` skips
-    the value, and ``value_grad`` computes the shared parts once."""
+    checks the shapes of A and b, then the labels, here, once; each oracle
+    call then only compares the shape of x, which may be any array-like.
+    ``value`` skips the gradient's A'(.) product, ``grad`` skips the value,
+    and ``value_grad`` computes the shared parts once.  ``grad_bound(A)``,
+    when given, bounds ||grad|| on all of R^n."""
     A = _frozen_copy(A)
     b = _frozen_copy(b)
     if A.ndim != 2 or b.shape != A.shape[:1]:
@@ -692,18 +680,22 @@ def _loss_term(loss, A, b, lipschitz, tag) -> SmoothTerm:
     return SmoothTerm(lambda x: value(*parts_at(x)),
                       lambda x: grad(A, b, *parts_at(x), mv),
                       lipschitz(A), 0.0, tag=tag, payload=(A, b),
-                      value_grad_oracle=value_grad)
+                      value_grad_oracle=value_grad,
+                      grad_bound_oracle=None if grad_bound is None
+                      else lambda radius, dim: grad_bound(A))
 
 
 def logistic_smooth_term(A, b) -> SmoothTerm:
-    """The mean logistic loss; labels must be +-1, or ValueError."""
-    term = _loss_term(_LOGISTIC, A, b, lipschitz_logistic, "logistic")
+    """The mean logistic loss (1/m) sum log(1 + exp(-b_i a_i'x)), in the
+    softplus form, so large margins do not overflow; labels must be +-1, or
+    ValueError after the shape check."""
     # ||grad|| <= mean_i ||a_i|| on all of R^n: labels are +-1 and 0 < sigma < 1
-    return dataclasses.replace(term, grad_bound_oracle=lambda radius, dim: float(
-        np.mean(np.linalg.norm(term.payload[0], axis=1))))
+    return _loss_term(_LOGISTIC, A, b, lipschitz_logistic, "logistic",
+                      lambda A: float(np.mean(np.linalg.norm(A, axis=1))))
 
 
 def least_squares_smooth_term(A, b) -> SmoothTerm:
+    """The mean squared loss (1/2m) ||Ax - b||^2."""
     # L waits for its first read, so building the term decomposes nothing;
     # by then G* has usually decomposed the term's own copy of A
     return _loss_term(_LEAST_SQUARES, A, b,
@@ -752,15 +744,14 @@ def min_norm_problem(A, b, l1_radius: Optional[float] = None,
     for derived-mode penalties.  The sharp constant, 2m over the smallest
     positive eigenvalue of A'A, is in the spectrum that gives G* and L, but
     is not the default yet."""
-    A = np.asarray(A, dtype=float)
-    n = A.shape[1]
+    g1 = least_squares_smooth_term(A, b)
+    n = g1.payload[0].shape[1]
     g2 = (NonsmoothTerm.indicator_l1_ball(l1_radius)
           if l1_radius is not None else NonsmoothTerm.zero())
     if l_f is None:
         l_f = l_f_min_norm(l1_radius) if l1_radius is not None else math.sqrt(n) + 1.0
     return BilevelInstance(dim=n, f1=squared_norm_term(1.0),
-                           f2=NonsmoothTerm.zero(),
-                           g1=least_squares_smooth_term(A, b), g2=g2,
+                           f2=NonsmoothTerm.zero(), g1=g1, g2=g2,
                            alpha=alpha, rho=rho, subgrad_diameter=l_f)
 
 
@@ -772,13 +763,12 @@ def logistic_min_norm_problem(A, b, l1_radius: float = 10.0,
     Logistic residuals satisfy a quadratic-growth error bound (alpha = 2
     default); rho = 1 is a placeholder to override with a measured
     constant."""
-    A = np.asarray(A, dtype=float)
-    n = A.shape[1]
+    g1 = logistic_smooth_term(A, b)
     if l_f is None:
         l_f = l_f_min_norm(l1_radius)
-    return BilevelInstance(dim=n, f1=squared_norm_term(1.0),
-                           f2=NonsmoothTerm.zero(),
-                           g1=logistic_smooth_term(A, b),
+    return BilevelInstance(dim=g1.payload[0].shape[1],
+                           f1=squared_norm_term(1.0),
+                           f2=NonsmoothTerm.zero(), g1=g1,
                            g2=NonsmoothTerm.indicator_l1_ball(l1_radius),
                            alpha=alpha, rho=rho, subgrad_diameter=l_f)
 
@@ -792,13 +782,12 @@ def elastic_net_problem(A, b, tau: float = 0.02,
 
     The lower level is least squares, so alpha = 2 by default with rho = 1
     as an overridable placeholder (see ``min_norm_problem``)."""
-    A = np.asarray(A, dtype=float)
-    n = A.shape[1]
+    g1 = least_squares_smooth_term(A, b)
+    n = g1.payload[0].shape[1]
     if l_f is None:
         l_f = l_f_elastic_net(tau, n, norm_bound)
     return BilevelInstance(dim=n, f1=squared_norm_term(tau),
-                           f2=NonsmoothTerm.l1_norm(1.0),
-                           g1=least_squares_smooth_term(A, b),
+                           f2=NonsmoothTerm.l1_norm(1.0), g1=g1,
                            g2=NonsmoothTerm.zero(),
                            alpha=alpha, rho=rho, subgrad_diameter=l_f)
 

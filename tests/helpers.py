@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 
@@ -243,13 +244,14 @@ def emit_libsvm(dataset):
 # LAPACK calls
 
 
-def eigh_calls(monkeypatch) -> list:
+def eigh_calls(monkeypatch, delay: float = 0.0) -> list:
     """The shapes of the matrices passed to ``np.linalg.eigh`` from now on,
-    for the rest of the test."""
+    for the rest of the test; each call first sleeps ``delay`` seconds."""
     eigh, shapes = np.linalg.eigh, []
 
     def counted(a):
         shapes.append(a.shape)
+        time.sleep(delay)
         return eigh(a)
     monkeypatch.setattr(np.linalg, "eigh", counted)
     return shapes

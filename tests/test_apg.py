@@ -175,6 +175,19 @@ class TestPbApg:
         assert err.value.trace.ks  # rows were recorded before the blow-up
 
     @pytest.mark.parametrize("engine", ["pb_apg", "pb_apg_sc"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_start_raises(self, engine, bad):
+        obj = _plain_objective(lambda x: float(x @ x), lambda x: 2.0 * x,
+                               2.0, mu=2.0)
+        x0 = np.array([1.0, bad])
+        with pytest.raises(NonFiniteIterate) as err:
+            if engine == "pb_apg":
+                pb_apg(obj, x0, ApgConfig(epsilon=1e-6))
+            else:
+                pb_apg_sc(obj, 2.0, x0, ApgConfig(epsilon=1e-6))
+        assert err.value.trace is None
+
+    @pytest.mark.parametrize("engine", ["pb_apg", "pb_apg_sc"])
     def test_nan_gradient_raises_at_first_bad_iterate(self, engine):
         calls = []
 

@@ -39,6 +39,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             build_config({**FAST, "problem": "mystery"})
 
+    def test_problem_or_preset_required(self):
+        bad = dict(FAST)
+        del bad["problem"]
+        with pytest.raises(ConfigError) as err:
+            build_config(bad)
+        assert "problem" in str(err.value)
+
     def test_unknown_key(self):
         with pytest.raises(ConfigError) as err:
             build_config({**FAST, "wibble": "1"})
@@ -87,8 +94,8 @@ class TestConfigValidation:
 
     def test_config_file_round_trip(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("problem = lrp-synth  # comment\n"
-                        "solvers = pb_apg\ngamma = 1e4\nm = 40\nn = 10\n")
+        path.write_text("problem = lrp-synth  # comment\n\n# a comment line\n"
+                        "   \nsolvers = pb_apg\ngamma = 1e4\nm = 40\nn = 10\n")
         values = parse_config_file(str(path))
         cfg = build_config(values)
         assert cfg.problem == "lrp-synth" and cfg.gamma == 1e4
@@ -114,6 +121,9 @@ class TestConfigValidation:
             assert type(parsed) is kind and parsed == value, name
             if kind is bool:
                 assert getattr(build_config({**FAST, name: "off"}), name) is False
+                with pytest.raises(ConfigError) as err:
+                    build_config({**FAST, name: "maybe"})
+                assert name in str(err.value)
         assert by_type[bool] == {"restart", "fixed_clock"}
         assert by_type[int] == {"m", "n", "seed", "max_iters", "record_every",
                                 "subgrad_max_iters"}
@@ -223,6 +233,26 @@ class TestRunExperiment:
         assert report.solvers["pb_apg"].error is None
         assert report.solvers["pb_apg_sc"].error is not None
         assert report.any_solver_error
+
+    def test_solver_error_leaves_its_files_out(self, tmp_path):
+        # an erroring solver writes no trace CSV; summary.csv gives it an
+        # error row, and the CLI exits 3
+        cfg = tmp_path / "err.cfg"
+        cfg.write_text("problem = lsrp-synth\nm = 20\nn = 30\nseed = 1\n"
+                       "tau = 0\nsolvers = pb_apg,pb_apg_sc\ngamma = 1e3\n")
+        out = tmp_path / "out"
+        report = run_experiment(build_config(
+            {**parse_config_file(str(cfg)), "out_dir": str(out)}))
+        assert report.solvers["pb_apg_sc"].error is not None
+        assert (out / "pb_apg.csv").exists()
+        assert not (out / "pb_apg_sc.csv").exists()
+        rows = (out / "summary.csv").read_text().splitlines()
+        assert rows[0] == SUMMARY_HEADER
+        assert [r.split(",")[0] for r in rows[1:]] == ["pb_apg", "pb_apg_sc"]
+        assert rows[2].split(",")[-1] == "error"
+        assert rows[1].split(",")[-1] != "error"
+        assert cli_main(["--config", str(cfg),
+                         "--out-dir", str(tmp_path / "cli")]) == 3
 
     def test_solver_error_exit_code(self, tmp_path):
         cfg = tmp_path / "err.cfg"

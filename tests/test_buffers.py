@@ -141,6 +141,26 @@ class TestSharedObjective:
         assert all(type(L) is float and L == want for L in results)
         assert shapes == [(30, 30)]
 
+    def test_first_reads_of_a_derived_array(self, monkeypatch):
+        # threads that ask at once for G* of one fresh least-squares
+        # instance share one eigh; a slow eigh holds the race window open
+        instance = synth_lsrp(100, 190, 3)
+        shapes = eigh_calls(monkeypatch, delay=0.05)
+        start = threading.Barrier(THREADS)
+        results, errors = [None] * THREADS, []
+
+        def work(i):
+            try:
+                start.wait(timeout=60)
+                results[i] = lower_opt_value(instance).g_star
+            except BaseException as exc:  # a thread's error fails the test
+                errors.append(exc)
+
+        _run_threads(work, THREADS)
+        assert errors == []
+        assert shapes == [(100, 100)]
+        assert len(set(results)) == 1 and results[0] is not None
+
     def test_threads_subgrad(self, lrp):
         instance, x_ref = lrp
         _, run = _subgrad(instance, x_ref)

@@ -259,6 +259,10 @@ class TestMinmaxScale:
         assert not np.signbit(S[:, :2]).any()
         np.testing.assert_array_equal(S[:, 2], [0.0, 0.5, 1.0])
 
+    def test_no_rows_rejected(self):
+        with pytest.raises(ValueError, match="at least one row"):
+            minmax_scale(Dataset(np.zeros((0, 3)), np.zeros(0)))
+
     def test_allocates_one_matrix(self):
         rng = np.random.default_rng(3)
         # large enough that NumPy's fixed 64 KiB ufunc buffer stays small

@@ -22,9 +22,8 @@ from sbopt.bench.synth import synth_lrp, synth_lsrp
 from sbopt.model import (SmoothTerm, _affine_step, _least_squares_grad,
                          _least_squares_parts, _logistic_grad,
                          _logistic_parts, _logistic_value,
-                         assemble_penalized, least_squares_smooth_term,
-                         lambda_max_gram, least_squares_value_grad,
-                         logistic_smooth_term, logistic_value_grad)
+                         assemble_penalized, lambda_max_gram,
+                         least_squares_smooth_term, logistic_smooth_term)
 from sbopt.reference import lower_opt_value
 from sbopt.subgrad import Diminishing, SubgradConfig, subgrad_solve
 
@@ -237,13 +236,11 @@ class TestLogisticHelpers:
             assert _same(_logistic_grad(A, b, t, z),
                          frozen_logistic_grad(A, b, t0, z0))
 
-    def test_public_function_and_term_oracles(self):
+    def test_term_oracles(self):
         for A, b, x in _logistic_cases():
             t0, z0 = frozen_logistic_parts(A, b, x)
             v0 = frozen_logistic_value(t0, z0)
             g0 = frozen_logistic_grad(A, b, t0, z0)
-            v, g = logistic_value_grad(A, b, x)
-            assert v.hex() == v0.hex() and _same(g, g0)
             term = logistic_smooth_term(A, b)
             v, g = term.value_grad(x)
             assert v.hex() == v0.hex() and _same(g, g0)
@@ -354,14 +351,15 @@ class TestLeastSquaresHelpers:
             g0 = frozen_least_squares_grad(A, b, r0)
             assert _same(_least_squares_grad(A, b, r), g0)
 
-    def test_public_function_and_term_oracles(self):
+    def test_term_oracles(self):
         for A, b, x in _least_squares_cases():
             (r0,) = frozen_least_squares_parts(A, b, x)
             v0 = float(r0 @ r0) / (2.0 * r0.shape[0])
             g0 = frozen_least_squares_grad(A, b, r0)
-            v, g = least_squares_value_grad(A, b, x)
-            assert v.hex() == v0.hex() and _same(g, g0)
             term = least_squares_smooth_term(A, b)
+            v, g = term.value_grad(x)
+            assert v.hex() == v0.hex() and _same(g, g0)
+            assert term.value(x).hex() == v0.hex()
             assert _same(term.grad(x), g0)
 
     def test_terms_match_matmul_on_every_shape(self):

@@ -1,6 +1,8 @@
 """Model layer: oracles, constants, penalized assembly."""
 
 import dataclasses
+import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,15 +15,14 @@ from sbopt.apg import ApgConfig, iteration_budget, pb_apg, pb_apg_sc, sc_budget
 from sbopt.bench.data import Dataset, augment_collinear
 from sbopt.bench.synth import synth_lsrp
 from sbopt.errors import (DimensionMismatch, InvalidErrorBound, InvalidLadder,
-                          InvalidStrongConvexity, NonComposableProx,
-                          Nonconvergence, UnsupportedTerm)
+                          InvalidStrongConvexity, MissingLowerOpt,
+                          NonComposableProx, Nonconvergence, UnsupportedTerm)
 from sbopt.model import (BilevelInstance, NonsmoothTerm, SmoothTerm,
                          assemble_penalized, lambda_max_gram,
-                         least_squares_smooth_term, least_squares_value_grad,
+                         least_squares_smooth_term,
                          lipschitz_least_squares, lipschitz_logistic,
                          logistic_min_norm_problem, logistic_smooth_term,
-                         logistic_value_grad, max_affine,
-                         elastic_net_problem, min_norm_problem,
+                         max_affine, elastic_net_problem, min_norm_problem,
                          squared_norm_term)
 from sbopt.penalty import gamma_star, gamma_total, suboptimality_lower_bound
 from sbopt.prox import compose_prox
@@ -50,6 +51,20 @@ class TestLipschitzCalculators:
             lam = lambda_max_gram(A)
             expected = float(np.linalg.eigvalsh(A.T @ A)[-1])
             assert lam == pytest.approx(expected, rel=1e-8)
+
+    def test_power_iteration_cap_raises(self, caplog):
+        # eigenvalues 1 and 0.9999: after GRAM_MAX_SWEEPS sweeps the Rayleigh
+        # quotient still moves, 7.9e-6 below lambda_max, and must not pass
+        # for it
+        with caplog.at_level(logging.WARNING, logger="sbopt.model"):
+            with pytest.raises(Nonconvergence) as err:
+                lambda_max_gram(np.diag([1.0, 0.9999]))
+        assert 1.0 - 1e-5 < err.value.best_value < 1.0 - 1e-6
+        assert "sweep cap" in caplog.text
+        # a logistic term's L would sit below lambda_max / (4m)
+        with pytest.raises(Nonconvergence):
+            logistic_smooth_term(np.array([[1.0, 0.0], [0.0, 0.9999],
+                                           [0.0, 0.0]]), np.ones(3))
 
     @pytest.mark.parametrize("kind, seed", [
         *(("synth_lsrp", seed) for seed in range(3, 23)),
@@ -107,19 +122,18 @@ class TestLogisticOracle:
     def test_value_at_zero(self):
         A = np.array([[1.0, 2.0], [0.5, -1.0], [3.0, 0.0]])
         b = np.array([1.0, -1.0, 1.0])
-        v, g = logistic_value_grad(A, b, np.zeros(2))
+        v, g = logistic_smooth_term(A, b).value_grad(np.zeros(2))
         assert v == pytest.approx(np.log(2.0), rel=1e-14)
         np.testing.assert_allclose(g, -(A.T @ b) / (2 * len(b)), rtol=1e-14)
 
     def test_large_margin_is_stable(self):
-        v, g = logistic_value_grad(np.array([[1.0]]), np.array([1.0]),
-                                   np.array([10.0]))
+        term = logistic_smooth_term(np.array([[1.0]]), np.array([1.0]))
+        v, g = term.value_grad(np.array([10.0]))
         assert v == pytest.approx(np.log1p(np.exp(-10.0)), rel=1e-12)
-        v, g = logistic_value_grad(np.array([[1.0]]), np.array([1.0]),
-                                   np.array([1000.0]))
+        v, g = term.value_grad(np.array([1000.0]))
         assert np.isfinite(v) and np.isfinite(g).all()
-        v, _ = logistic_value_grad(np.array([[1.0]]), np.array([-1.0]),
-                                   np.array([1000.0]))
+        v, _ = logistic_smooth_term(np.array([[1.0]]), np.array([-1.0])
+                                    ).value_grad(np.array([1000.0]))
         assert v == pytest.approx(1000.0, rel=1e-12)
 
     def test_gradient_matches_finite_differences(self):
@@ -129,23 +143,23 @@ class TestLogisticOracle:
             A = rng.normal(size=(m, n))
             b = rng.choice([-1.0, 1.0], size=m)
             x = rng.normal(size=n)
-            _, g = logistic_value_grad(A, b, x)
-            fd = central_diff(lambda z: logistic_value_grad(A, b, z)[0], x)
+            term = logistic_smooth_term(A, b)
+            _, g = term.value_grad(x)
+            fd = central_diff(lambda z: term.value_grad(z)[0], x)
             np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-9)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            logistic_value_grad(np.eye(2), np.ones(3), np.zeros(2))
+            logistic_smooth_term(np.eye(2), np.ones(3))
         with pytest.raises(DimensionMismatch):
-            least_squares_value_grad(np.eye(2), np.ones(2), np.zeros(3))
+            least_squares_smooth_term(np.eye(2), np.ones(2)).value_grad(
+                np.zeros(3))
 
     @pytest.mark.parametrize("labels", [[0.0, 1.0], [2.0, -1.0],
                                         [1.0, np.nan], [0.5, 1.0]])
     def test_labels_must_be_plus_or_minus_one(self, labels):
         # 0/1 labels would give log 2 at 0 and a wrong gradient bound
         A, b = np.eye(2), np.array(labels)
-        with pytest.raises(ValueError, match="labels"):
-            logistic_value_grad(A, b, np.zeros(2))
         with pytest.raises(ValueError, match="labels"):
             logistic_smooth_term(A, b)
         with pytest.raises(ValueError, match="labels"):
@@ -200,6 +214,19 @@ class TestSmoothTermContracts:
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
                     arr[0] = 0.0
+
+    def test_shipped_losses_take_list_points(self):
+        rng = np.random.default_rng(9)
+        A = rng.normal(size=(6, 4))
+        b = rng.choice([-1.0, 1.0], size=6)
+        x = rng.normal(size=4)
+        for make in (sbopt.logistic_smooth_term, sbopt.least_squares_smooth_term):
+            term = make(A, b)
+            assert term.value(x.tolist()) == term.value(x)
+            np.testing.assert_array_equal(term.grad(x.tolist()), term.grad(x))
+            value, grad = term.value_grad(x.tolist())
+            assert value == term.value(x)
+            np.testing.assert_array_equal(grad, term.grad(x))
 
     def test_shipped_losses_reject_wrong_length_points(self):
         rng = np.random.default_rng(8)
@@ -276,6 +303,14 @@ class TestNonsmoothTerm:
 
 
 class TestInstanceValidation:
+    def test_lower_gap_needs_lower_opt_value(self):
+        inst = dataclasses.replace(toy_quadratic_instance(),
+                                   lower_opt_value=None)
+        with pytest.raises(MissingLowerOpt):
+            inst.lower_gap(np.zeros(inst.dim))
+        assert inst.with_lower_opt_value(0.5).lower_gap(
+            np.zeros(inst.dim)) == inst.lower_value(np.zeros(inst.dim)) - 0.5
+
     def test_alpha_below_one_rejected(self):
         with pytest.raises(InvalidErrorBound):
             BilevelInstance(dim=1, f1=squared_norm_term(), f2=NonsmoothTerm.zero(),
@@ -585,3 +620,26 @@ def test_nan_argument_fails_its_check(case):
     _, call, error, message = case
     with pytest.raises(error, match=message):
         call()
+
+
+class TestBuildMemory:
+    """A problem constructor leaves the float conversion of A to the term's
+    private copy, so a matrix that is not float64 is copied once."""
+
+    @pytest.mark.parametrize("make", [min_norm_problem, elastic_net_problem,
+                                      logistic_min_norm_problem])
+    def test_one_float_copy_of_a(self, make):
+        rng = np.random.default_rng(0)
+        A = (rng.random((400, 120)) < 0.3).astype(np.int64)
+        b = rng.choice([-1.0, 1.0], size=400)
+        copy = A.size * np.dtype(float).itemsize
+        for given in (A, A.tolist()):
+            tracemalloc.start()
+            try:
+                inst = make(given, b)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.2 * copy, (type(given), peak / copy)
+            np.testing.assert_array_equal(inst.g1.payload[0], A)
+            assert inst.dim == 120

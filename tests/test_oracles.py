@@ -1,7 +1,7 @@
-"""Hot-path oracles of the shipped losses: the value-only, gradient-only and
-fused oracles agree bit for bit with the public *_value_grad functions, and
-the engines take the same iterates through them as through plain terms
-built on those functions."""
+"""Hot-path oracles of the shipped losses: the fused oracle agrees bit for
+bit with the value-only and gradient-only ones, and the engines take the
+same iterates through a shipped term as through a plain term that has only
+those two."""
 
 import dataclasses
 import json
@@ -16,24 +16,15 @@ from sbopt.bench.run import _subgrad_baseline, build_config, run_experiment
 from sbopt.bench.synth import synth_lrp, synth_lsrp
 from sbopt.model import (NonsmoothTerm, SmoothTerm, _affine_step,
                          _logistic_value, assemble_penalized,
-                         least_squares_smooth_term,
-                         least_squares_value_grad, logistic_smooth_term,
-                         logistic_value_grad)
+                         least_squares_smooth_term, logistic_smooth_term)
 from sbopt.subgrad import (Diminishing, Domain, SubgradConfig,
                            assemble_nonsmooth, subgrad_solve)
 
-PUBLIC = {"logistic": logistic_value_grad,
-          "least_squares": least_squares_value_grad}
-
-
 def _plain(term: SmoothTerm) -> SmoothTerm:
-    """The same loss as plain lambdas over the public function, with no
-    fused oracle, and the same constants, tag and payload (so the engines
-    pick the same forward step for both)."""
-    A, b = term.payload
-    public = PUBLIC[term.tag]
-    return SmoothTerm(lambda x: public(A, b, x)[0],
-                      lambda x: public(A, b, x)[1],
+    """The same loss with the term's separate value and gradient oracles
+    and no fused one, and the same constants, tag and payload (so the
+    engines pick the same forward step for both)."""
+    return SmoothTerm(term.value_oracle, term.gradient_oracle,
                       term.lipschitz_grad, term.strong_convexity,
                       tag=term.tag, payload=term.payload)
 
@@ -67,6 +58,8 @@ def _assert_same_run(run_a, run_b):
 
 
 class TestOraclesMatchPublicFunctions:
+    """The fused ``value_grad`` against the public ``value`` and ``grad``."""
+
     @pytest.mark.parametrize("seed", range(5))
     def test_exact_agreement_including_large_margins(self, seed):
         rng = np.random.default_rng(seed)
@@ -78,11 +71,9 @@ class TestOraclesMatchPublicFunctions:
             for make, b in ((logistic_smooth_term, labels),
                             (least_squares_smooth_term, targets)):
                 term = make(A, b)
-                value, grad = PUBLIC[term.tag](A, b, x)
-                assert term.value(x) == value
-                np.testing.assert_array_equal(term.grad(x), grad)
+                value, grad = term.value(x), term.grad(x)
                 fused_value, fused_grad = term.value_grad(x)
-                assert fused_value == value
+                assert type(fused_value) is float and fused_value == value
                 np.testing.assert_array_equal(fused_grad, grad)
         # the scaled points above reach margins well past the softplus cutoff
         assert np.max(np.abs(labels * (A @ x))) > 40.0
@@ -114,7 +105,7 @@ class TestReductionsMatchTheirNumpyForms:
 
 
 class TestEnginesTakeTheSameIterates:
-    """Shipped terms against plain terms over the public functions."""
+    """Shipped terms against plain terms without the fused oracle."""
 
     def _pair(self, instance, gamma):
         plain = dataclasses.replace(instance, g1=_plain(instance.g1))
