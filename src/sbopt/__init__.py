@@ -13,11 +13,12 @@ from .adaptive import (LadderConfig, LadderStage, apb_apg, apb_apg_sc,
                        ladder_entry_index)
 from .apg import (ApgConfig, SolverTrace, gradient_mapping_norm,
                   iteration_budget, next_theta, pb_apg, pb_apg_sc, sc_budget)
-from .errors import (ConfigError, DimensionMismatch, InfeasibleStart,
-                     InvalidErrorBound, InvalidLadder, InvalidStrongConvexity,
-                     MissingLowerOpt, NonComposableProx, Nonconvergence,
-                     NonFiniteIterate, ParseError, RelaxationUnreachable,
-                     SboptError, UnsupportedTerm)
+from .errors import (BudgetOverflow, ConfigError, DimensionMismatch,
+                     InfeasibleStart, InvalidErrorBound, InvalidLadder,
+                     InvalidStrongConvexity, MissingLowerOpt,
+                     NonComposableProx, Nonconvergence, NonFiniteIterate,
+                     ParseError, RelaxationUnreachable, SboptError,
+                     UnsupportedTerm)
 from .model import (BilevelInstance, NonsmoothTerm, PenalizedObjective,
                     SmoothTerm, assemble_penalized, elastic_net_problem,
                     l_f_elastic_net, l_f_min_norm, lambda_max_gram,

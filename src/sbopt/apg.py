@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidStrongConvexity, NonFiniteIterate
+from .errors import BudgetOverflow, InvalidStrongConvexity, NonFiniteIterate
 from .model import PenalizedObjective, _affine_step, is_count
 
 
@@ -56,8 +56,8 @@ class ApgConfig:
     keep_iterates: bool = False
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         if not (self.radius_bound is None or 0 < self.radius_bound < math.inf):
             raise ValueError("radius_bound must be positive and finite")
         if self.max_iters is not None and not is_count(self.max_iters):
@@ -153,22 +153,30 @@ def next_theta(theta: float) -> float:
 
 def iteration_budget(l_gamma: float, radius: float, epsilon: float) -> int:
     """Smallest K >= 0 with c/(K+1)^2 <= epsilon, c = 2*l_gamma*radius^2;
-    ValueError when c or c/epsilon overflows."""
+    BudgetOverflow when c, c/epsilon or 2*l_gamma/epsilon overflows."""
     if not (l_gamma > 0 and radius > 0 and epsilon > 0):
         raise ValueError("l_gamma, radius and epsilon must be positive")
     c = 2.0 * l_gamma * radius * radius
-    if not math.isfinite(c / epsilon):
-        raise ValueError("the iteration budget is not finite")
     v = radius * math.sqrt(2.0 * l_gamma / epsilon)
-    k = max(0, math.floor(v) - 1)
-    while c / ((k + 1) * (k + 1)) > epsilon:
-        k += 1
+    if not (math.isfinite(c / epsilon) and math.isfinite(v)):
+        raise BudgetOverflow("the iteration budget is not finite")
+
+    def meets(j):
+        return c / ((j + 1.0) * (j + 1.0)) <= epsilon
+
+    # the first k from floor(v) - 1 that meets the bound, by bisection: past
+    # 2^53 the rounded v can lie many integers below it (1e138 at
+    # l_gamma = 8.988e307, radius = epsilon = 1), too many for unit steps
+    k, hi = max(0, math.floor(v) - 1), 2 * math.floor(v) + 2
+    while k < hi:
+        mid = (k + hi) // 2
+        k, hi = (k, mid) if meets(mid) else (mid + 1, hi)
     return k
 
 
 def sc_budget(l_gamma: float, mu: float, radius: float, epsilon: float) -> int:
     """Smallest k >= 0 with ((l_gamma+mu)/2) * radius^2 * (1-sqrt(mu/l_gamma))^k
-    <= epsilon; ValueError when float rounding leaves no finite k."""
+    <= epsilon; BudgetOverflow when float rounding leaves no finite k."""
     if not 0 < mu <= l_gamma:
         raise InvalidStrongConvexity(
             f"need 0 < mu <= l_gamma, got mu={mu}, l_gamma={l_gamma}")
@@ -181,7 +189,7 @@ def sc_budget(l_gamma: float, mu: float, radius: float, epsilon: float) -> int:
     if q <= 0.0:
         return 1
     if not (q < 1.0 and epsilon / c > 0.0):
-        raise ValueError("the iteration budget is not finite")
+        raise BudgetOverflow("the iteration budget is not finite")
     k = max(0, math.floor(math.log(epsilon / c) / math.log(q)))
     while c * q**k > epsilon:
         k += 1

@@ -25,11 +25,12 @@ from .. import penalty
 from ..adaptive import LadderConfig, apb_apg, apb_apg_sc
 from ..apg import ApgConfig, gradient_mapping_norm, pb_apg, pb_apg_sc
 from ..errors import ConfigError, InvalidLadder, SboptError, UnsupportedTerm
-from ..model import (BilevelInstance, NonsmoothTerm, assemble_penalized,
-                     elastic_net_problem, is_count, logistic_min_norm_problem)
+from ..model import (BilevelInstance, NonsmoothTerm, PenalizedObjective,
+                     _combine_smooth, assemble_penalized, elastic_net_problem,
+                     is_count, logistic_min_norm_problem)
+from ..prox import ProxSpec
 from ..reference import ReferenceReport, lower_opt_value, upper_opt_value
-from ..subgrad import (Diminishing, Domain, SubgradConfig, assemble_nonsmooth,
-                       subgrad_solve, subgradient_oracle)
+from ..subgrad import Diminishing, Domain, SubgradConfig, subgrad_solve
 from .data import augment_collinear, minmax_scale, parse_libsvm_path
 from .synth import synth_instance
 
@@ -324,10 +325,10 @@ def _apg_config(cfg: ExperimentConfig, epsilon: float) -> ApgConfig:
 
 
 def _subgrad_baseline(instance: BilevelInstance, gamma: float, x_ref):
-    """Projected-subgradient treatment of the whole penalized objective:
-    an indicator g2 becomes the projection domain, everything else (f2 and
-    any other g2 included) is handled through subgradients with Lipschitz
-    bounds over that domain."""
+    """Projected-subgradient treatment of the whole penalized objective
+    phi + f2 + gamma*g2 with phi = f1 + gamma*g1: an indicator g2 becomes
+    the projection domain, and the other terms step along their gradients
+    or subgradients, with norm bounds over that domain."""
     g2 = instance.g2
     domain = Domain(g2 if g2.is_indicator else NonsmoothTerm.indicator_l1_ball(
         2.0 * max(1.0, float(np.sum(np.abs(x_ref))))))
@@ -336,28 +337,15 @@ def _subgrad_baseline(instance: BilevelInstance, gamma: float, x_ref):
         raise UnsupportedTerm("the subgradient baseline needs a bounded domain")
 
     f1, f2, g1, n = instance.f1, instance.f2, instance.g1, instance.dim
-    l_upper = f1.grad_bound(xbound, n)
-    upper_subgrad = f1.grad
-    f2_bound = f2.subgradient_bound(n)
-    if f2_bound is not None:
-        l_upper += f2_bound
-        upper_subgrad = lambda x: f1.grad(x) + subgradient_oracle(f2, x)
-
-    f_all = NonsmoothTerm.custom(instance.upper_value,
-                                 subgrad_oracle=upper_subgrad,
-                                 lipschitz=l_upper)
-    l_lower = g1.grad_bound(xbound, n)
-    g2_bound = g2.subgradient_bound(n)
-    if g2_bound is None:
-        g_all = NonsmoothTerm.custom(g1.value, subgrad_oracle=g1.grad,
-                                     lipschitz=l_lower,
-                                     value_subgrad_oracle=g1.value_grad)
-    else:
-        g_all = NonsmoothTerm.custom(
-            instance.lower_value,
-            subgrad_oracle=lambda x: g1.grad(x) + subgradient_oracle(g2, x),
-            lipschitz=l_lower + g2_bound)
-    objective = assemble_nonsmooth(f_all, g_all, gamma, instance=instance)
+    if g2.is_indicator:
+        g2 = NonsmoothTerm.zero()
+    # a zero term has no subgradient bound and adds nothing
+    l_upper = f1.grad_bound(xbound, n) + (f2.subgradient_bound(n) or 0.0)
+    l_lower = g1.grad_bound(xbound, n) + (g2.subgradient_bound(n) or 0.0)
+    objective = PenalizedObjective(
+        gamma=gamma, phi=_combine_smooth(f1, g1, gamma),
+        psi=ProxSpec(f2=f2, g2=g2, gamma=gamma, prox=None),
+        subgrad_lipschitz=l_upper + gamma * l_lower, instance=instance)
     radius = float(np.linalg.norm(x_ref)) + 1.0
     return objective, domain, radius
 

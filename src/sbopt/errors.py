@@ -38,6 +38,11 @@ class InvalidLadder(SboptError):
     or the ladder cannot reach its stop accuracy within its stage cap."""
 
 
+class BudgetOverflow(SboptError, ValueError):
+    """An iteration budget that floating point cannot hold.  It is a
+    ValueError too, as the budget functions' other bad arguments are."""
+
+
 class UnsupportedTerm(SboptError):
     """A term kind does not support the requested oracle (e.g. subgradient of an indicator)."""
 

@@ -140,9 +140,7 @@ class NonsmoothTerm:
     (user oracles); another kind raises UnsupportedTerm.  The methods below
     are the one place that says what each kind means.  ``lipschitz`` is only
     meaningful for terms used in subgradient mode and must be a bound over
-    the working domain.  A custom term may add ``value_subgrad_oracle``,
-    returning value and subgradient from one call, for solvers that need
-    both at the same point.
+    the working domain.
     """
 
     kind: str
@@ -154,7 +152,6 @@ class NonsmoothTerm:
     prox_oracle: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     subgrad_oracle: Optional[Callable[[np.ndarray], np.ndarray]] = None
     lipschitz: Optional[float] = None
-    value_subgrad_oracle: Optional[Callable[[np.ndarray], tuple]] = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -187,12 +184,11 @@ class NonsmoothTerm:
 
     @staticmethod
     def custom(value_oracle, prox_oracle=None, subgrad_oracle=None,
-               lipschitz=None, value_subgrad_oracle=None) -> "NonsmoothTerm":
+               lipschitz=None) -> "NonsmoothTerm":
         return NonsmoothTerm(kind="custom", value_oracle=value_oracle,
                              prox_oracle=prox_oracle,
                              subgrad_oracle=subgrad_oracle,
-                             lipschitz=lipschitz,
-                             value_subgrad_oracle=value_subgrad_oracle)
+                             lipschitz=lipschitz)
 
     def value(self, x: np.ndarray) -> float:
         """Extended-real evaluation; indicators return +inf outside their set
@@ -349,8 +345,9 @@ class PenalizedObjective:
     cancels out of the prox-gradient step exactly).
 
     ``l_gamma`` is the reported smoothness constant scale*(L_f1 + gamma*L_g1).
-    ``subgrad_lipschitz``, when available, is l_f2 + gamma*l_g2 for the fully
-    nonsmooth mode.  ``instance``, when set, is the instance it penalizes.
+    ``subgrad_lipschitz``, when available, bounds the norm of the
+    subgradient-mode step direction over the domain, as l_f2 + gamma*l_g2
+    does for a zero phi.  ``instance``, when set, is the instance it penalizes.
     """
 
     gamma: float
@@ -407,21 +404,27 @@ class PenalizedObjective:
 
 
 def _combine_smooth(f1: SmoothTerm, g1: SmoothTerm, gamma: float) -> SmoothTerm:
-    def grad(x):
+    def combine(grad_g1, x):
         # a new array, as g1's may be its oracle's own, or read-only
-        g = np.multiply(gamma, g1.grad(x))
+        g = np.multiply(gamma, grad_g1)
         g += f1.grad(x)
         return g
+
+    def value_grad(x):  # on g1's fused oracle: one loss evaluation
+        v_g1, grad_g1 = g1.value_grad(x)
+        return f1.value(x) + gamma * v_g1, combine(grad_g1, x)
 
     # (tau/2)||x||^2 + (gamma/2m)||A x - b||^2, for _affine_step
     quadratic = (f1.tag == "squared_norm" and g1.tag == "least_squares"
                  and f1.payload is not None and g1.payload is not None)
-    return SmoothTerm(lambda x: f1.value(x) + gamma * g1.value(x), grad,
+    return SmoothTerm(lambda x: f1.value(x) + gamma * g1.value(x),
+                      lambda x: combine(g1.grad(x), x),
                       f1.lipschitz_grad + gamma * g1.lipschitz_grad,
                       f1.strong_convexity + gamma * g1.strong_convexity,
                       tag="penalized_least_squares" if quadratic else None,
                       payload=(*f1.payload, gamma, *g1.payload)
-                      if quadratic else None)
+                      if quadratic else None,
+                      value_grad_oracle=value_grad)
 
 
 def _affine_step(phi: SmoothTerm):

@@ -1,12 +1,13 @@
-"""Projected subgradient method for the fully nonsmooth case (no smooth
-parts; the objective is f2 + gamma*g2 with both terms Lipschitz on the
-working domain C).
+"""Projected subgradient method on the penalized objective
+phi + f2 + gamma*g2, whose terms are Lipschitz on the working domain C.
 
 The update is  x_{k+1} = Proj_C(x_k - eta_k xi_k)  with xi_k a subgradient of
-the penalized objective, taken from the terms themselves; C is an indicator
-term.  Two step schedules are supported: the diminishing
-R/(l_gamma sqrt(k+1)) schedule and, for a strongly convex f2 on a bounded C,
-2/(mu (k+1)).  The returned point is the best iterate by objective value.
+the penalized objective: the gradient of the smooth part phi, which is a
+subgradient, plus those of f2 and g2, taken from the terms themselves; C is
+an indicator term.  Two step schedules are supported: the diminishing
+R/(l_gamma sqrt(k+1)) schedule and, for a strongly convex objective on a
+bounded C, 2/(mu (k+1)).  The returned point is the best iterate by
+objective value.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .apg import SolverTrace, _step_norm
 from .errors import (InfeasibleStart, InvalidStrongConvexity,
                      UnsupportedTerm)
 from .model import NonsmoothTerm, PenalizedObjective, SmoothTerm, is_count
-from .prox import ProxSpec, penalized_sum
+from .prox import ProxSpec
 
 
 @dataclass(frozen=True)
@@ -71,8 +72,8 @@ class Diminishing:
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("radius must be positive and finite")
 
     def step(self, k: int, l_gamma: float) -> float:
         return self.radius / (l_gamma * math.sqrt(k + 1.0))
@@ -80,13 +81,13 @@ class Diminishing:
 
 @dataclass(frozen=True)
 class StronglyConvex:
-    """Step eta_k = 2 / (mu * (k+1)) for a mu-strongly convex f2."""
+    """Step eta_k = 2 / (mu * (k+1)) for a mu-strongly convex objective."""
 
     mu: float
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise ValueError("mu must be positive")
+        if not 0 < self.mu < math.inf:
+            raise ValueError("mu must be positive and finite")
 
     def step(self, k: int, l_gamma: float) -> float:
         return 2.0 / (self.mu * (k + 1.0))
@@ -110,20 +111,10 @@ class SubgradConfig:
             raise ValueError("max_seconds must be None or positive")
 
 
-def subgradient_oracle(term, x: np.ndarray) -> np.ndarray:
-    """A deterministic member of the subdifferential at x: the gradient of a
-    smooth term, else ``term.subgradient(x)``, which rejects indicators."""
-    return term.grad(x) if isinstance(term, SmoothTerm) else term.subgradient(x)
-
-
-def _value_and_subgradient(term: NonsmoothTerm, x: np.ndarray):
-    """Value and subgradient of a nonsmooth term at x: one call of a custom
-    term's fused oracle when it has one, else ``value`` and
-    ``subgradient_oracle``."""
-    if term.value_subgrad_oracle is not None:
-        value, sub = term.value_subgrad_oracle(x)
-        return float(value), sub
-    return term.value(x), subgradient_oracle(term, x)
+def subgradient_oracle(term: NonsmoothTerm, x: np.ndarray) -> np.ndarray:
+    """A deterministic member of the subdifferential of a nonsmooth term at
+    x, ``term.subgradient(x)``, which rejects indicators."""
+    return term.subgradient(x)
 
 
 def assemble_nonsmooth(f2: NonsmoothTerm, g2: NonsmoothTerm, gamma: float,
@@ -149,9 +140,10 @@ def subgrad_solve(objective: PenalizedObjective, x0: np.ndarray,
     the domain exactly.  With the diminishing schedule and a valid radius the
     best-value gap after K steps is at most
     (l_gamma/4)(R^2 + 2 log 2)/sqrt(K+2); with the strongly convex schedule it
-    is at most 2 l_gamma^2 / (mu (K+1)).  The step uses the subgradients of
-    f2 and g2 alone, so an objective with a smooth part raises
-    UnsupportedTerm.
+    is at most 2 l_gamma^2 / (mu (K+1)).  The step direction is
+    scale * (grad phi + xi_f2 + gamma xi_g2), where a zero term adds
+    nothing; l_gamma, ``objective.subgrad_lipschitz``, must bound its norm
+    on the domain.
     """
     x0 = np.asarray(x0, dtype=float)
     if not config.domain.contains(x0):
@@ -162,23 +154,20 @@ def subgrad_solve(objective: PenalizedObjective, x0: np.ndarray,
     l_gamma = objective.subgrad_lipschitz
     if l_gamma is None or not l_gamma > 0:
         raise UnsupportedTerm("objective carries no subgradient Lipschitz constant")
-    if objective.phi.tag != "zero":
-        raise UnsupportedTerm("subgradient mode takes no smooth part; fold it "
-                              "into a nonsmooth term")
 
-    f2, g2, gamma = objective.psi.f2, objective.psi.g2, objective.psi.gamma
-    scale, phi = objective.scale, objective.phi
+    scale, phi, psi = objective.scale, objective.phi, objective.psi
+    terms = [(term, weight) for term, weight in ((psi.f2, 1.0),
+                                                 (psi.g2, psi.gamma))
+             if term.kind != "zero"]
 
     def value_and_subgrad(x, out):
-        # objective.value(x), and the penalized subgradient at x written into
-        # out, with each term evaluated once and the same arithmetic as the
-        # separate calls: scale * (s_f + gamma * s_g)
-        v_f, s_f = _value_and_subgradient(f2, x)
-        v_g, s_g = _value_and_subgradient(g2, x)
-        np.multiply(gamma, s_g, out)
-        out += s_f
-        out *= scale
-        return scale * (phi.value(x) + penalized_sum(v_f, v_g, gamma))
+        # objective.value(x), with phi's value and gradient from one call,
+        # and the step direction at x written into out
+        value, sub = phi.value_grad(x)
+        for term, weight in terms:
+            sub = np.add(sub, weight * subgradient_oracle(term, x), out)
+        np.multiply(sub, scale, out)
+        return scale * (value + psi.evaluate(x))
 
     # The run allocates its arrays once: x_k and x_{k+1} rotate through two,
     # the subgradient step and the step go into two more, and the best

@@ -68,6 +68,14 @@ class TestIterationBudget:
             if K > 0:
                 assert 2 * L * R * R / K**2 > eps
 
+    def test_budget_past_two_to_the_53_is_found_by_search(self):
+        # the rounded sqrt lands about 1e138 below the budget here, which a
+        # search by unit steps does not cross
+        c = 2.0 * 8.988e307
+        K = iteration_budget(8.988e307, 1.0, 1.0)
+        assert c / (K + 1.0) ** 2 <= 1.0
+        assert K == pytest.approx(math.sqrt(c), rel=1e-15)
+
     def test_monotone_in_epsilon(self):
         budgets = [iteration_budget(3.0, 1.0, e) for e in np.logspace(-8, 0, 17)]
         assert all(a >= b for a, b in zip(budgets, budgets[1:]))

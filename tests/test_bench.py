@@ -237,22 +237,31 @@ class TestRunExperiment:
     def test_solver_error_leaves_its_files_out(self, tmp_path):
         # an erroring solver writes no trace CSV; summary.csv gives it an
         # error row, and the CLI exits 3
-        cfg = tmp_path / "err.cfg"
-        cfg.write_text("problem = lsrp-synth\nm = 20\nn = 30\nseed = 1\n"
-                       "tau = 0\nsolvers = pb_apg,pb_apg_sc\ngamma = 1e3\n")
-        out = tmp_path / "out"
-        report = run_experiment(build_config(
-            {**parse_config_file(str(cfg)), "out_dir": str(out)}))
-        assert report.solvers["pb_apg_sc"].error is not None
-        assert (out / "pb_apg.csv").exists()
-        assert not (out / "pb_apg_sc.csv").exists()
-        rows = (out / "summary.csv").read_text().splitlines()
-        assert rows[0] == SUMMARY_HEADER
-        assert [r.split(",")[0] for r in rows[1:]] == ["pb_apg", "pb_apg_sc"]
-        assert rows[2].split(",")[-1] == "error"
-        assert rows[1].split(",")[-1] != "error"
-        assert cli_main(["--config", str(cfg),
-                         "--out-dir", str(tmp_path / "cli")]) == 3
+        cases = [
+            # tau = 0 leaves pb_apg_sc no strong convexity
+            "problem = lsrp-synth\nm = 20\nn = 30\nseed = 1\ntau = 0\n"
+            "solvers = pb_apg,pb_apg_sc\ngamma = 1e3\n",
+            # the first ladder stage's iteration budget overflows a float
+            "preset = lsrp-bench\nm = 20\nn = 30\n"
+            "solvers = pb_apg,apb_apg_sc\ngamma0 = 1e250\n"]
+        for i, text in enumerate(cases):
+            cfg = tmp_path / f"err{i}.cfg"
+            cfg.write_text(text)
+            values = parse_config_file(str(cfg))
+            good, bad = values["solvers"].split(",")
+            out = tmp_path / f"out{i}"
+            report = run_experiment(build_config({**values,
+                                                  "out_dir": str(out)}))
+            assert report.solvers[bad].error is not None
+            assert (out / f"{good}.csv").exists()
+            assert not (out / f"{bad}.csv").exists()
+            rows = (out / "summary.csv").read_text().splitlines()
+            assert rows[0] == SUMMARY_HEADER
+            assert [r.split(",")[0] for r in rows[1:]] == [good, bad]
+            assert rows[2].split(",")[-1] == "error"
+            assert rows[1].split(",")[-1] != "error"
+            assert cli_main(["--config", str(cfg),
+                             "--out-dir", str(tmp_path / f"cli{i}")]) == 3
 
     def test_solver_error_exit_code(self, tmp_path):
         cfg = tmp_path / "err.cfg"

@@ -333,6 +333,36 @@ class TestSubgradientLoopIterates:
         for k, (got, ref) in enumerate(zip(trace.iterates, want)):
             assert _same(got, ref), k
 
+    def test_every_iterate_with_an_l1_upper_term(self):
+        # least squares under an elastic-net upper level: f2 = ||x||_1 adds
+        # its subgradient, and the domain is the baseline's own L1 ball
+        instance = synth_lsrp(30, 45, 2)
+        x_ref = lower_opt_value(instance).x
+        instance = instance.with_lower_opt_value(0.0)
+        gamma, iters = 50.0, 400
+        objective, domain, radius = _subgrad_baseline(instance, gamma, x_ref)
+        cfg = SubgradConfig(schedule=Diminishing(radius), max_iters=iters,
+                            domain=domain, record_every=13, keep_iterates=True)
+        x0 = domain.project(np.zeros(instance.dim))
+        _, trace = subgrad_solve(objective, x0, cfg)
+
+        A, b = instance.g1.payload
+        tau = instance.f1.payload[0]
+        l_gamma = objective.subgrad_lipschitz
+        r_ball = domain.term.radius
+        x = x0.copy()
+        want = [x.copy()]
+        for k in range(iters):
+            s_g = frozen_least_squares_grad(
+                A, b, *frozen_least_squares_parts(A, b, x))
+            sub = 1.0 * ((gamma * s_g + tau * x) + np.sign(x))
+            eta = radius / (l_gamma * math.sqrt(k + 1.0))
+            x = frozen_project_l1_ball(x - eta * sub, r_ball)
+            want.append(x.copy())
+        assert len(trace.iterates) == len(want)
+        for k, (got, ref) in enumerate(zip(trace.iterates, want)):
+            assert _same(got, ref), k
+
 
 def _least_squares_cases():
     rng = np.random.default_rng(22)

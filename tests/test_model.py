@@ -14,7 +14,8 @@ from sbopt.adaptive import LadderConfig, apb_apg, ladder_entry_index
 from sbopt.apg import ApgConfig, iteration_budget, pb_apg, pb_apg_sc, sc_budget
 from sbopt.bench.data import Dataset, augment_collinear
 from sbopt.bench.synth import synth_lsrp
-from sbopt.errors import (DimensionMismatch, InvalidErrorBound, InvalidLadder,
+from sbopt.errors import (BudgetOverflow, DimensionMismatch,
+                          InvalidErrorBound, InvalidLadder,
                           InvalidStrongConvexity, MissingLowerOpt,
                           NonComposableProx, Nonconvergence, UnsupportedTerm)
 from sbopt.model import (BilevelInstance, NonsmoothTerm, SmoothTerm,
@@ -544,20 +545,31 @@ def _nan_cases():
          ValueError, "gamma must be positive and finite"),
         ("pb_apg_overflow", lambda: pb_apg(obj, x0, ApgConfig(
             epsilon=1e-300, radius_bound=1e300)),
-         ValueError, "the iteration budget is not finite"),
+         BudgetOverflow, "the iteration budget is not finite"),
         ("pb_apg_sc_overflow", lambda: pb_apg_sc(
             obj, 0.5 * obj.l_gamma, x0,
             ApgConfig(epsilon=1e-300, radius_bound=1e300)),
-         ValueError, "the iteration budget is not finite"),
+         BudgetOverflow, "the iteration budget is not finite"),
         # 2 l_gamma radius^2 overflows though the budget would fit a float;
         # the budget search compares against it
         ("iteration_budget_numerator", lambda: iteration_budget(
             1e300, 1e10, 1e300),
-         ValueError, "the iteration budget is not finite"),
+         BudgetOverflow, "the iteration budget is not finite"),
         ("sc_budget_rate", lambda: sc_budget(1.0, 1e-40, 1.0, 1e-3),
-         ValueError, "the iteration budget is not finite"),
+         BudgetOverflow, "the iteration budget is not finite"),
         ("sc_budget_ratio", lambda: sc_budget(1.0, 0.5, 1e10, 5e-324),
-         ValueError, "the iteration budget is not finite"),
+         BudgetOverflow, "the iteration budget is not finite"),
+        # c/epsilon fits a float, 2 l_gamma/epsilon does not
+        ("iteration_budget_ratio", lambda: iteration_budget(1e305, 1e-5, 1e-4),
+         BudgetOverflow, "the iteration budget is not finite"),
+        # infinite constants gave a step of 0 or of inf, and a budget of 0:
+        # the runs reported their start as best
+        ("strongly_convex_inf", lambda: StronglyConvex(inf),
+         ValueError, "mu must be positive and finite"),
+        ("diminishing_inf", lambda: Diminishing(inf),
+         ValueError, "radius must be positive and finite"),
+        ("apg_epsilon_inf", lambda: ApgConfig(epsilon=inf),
+         ValueError, "epsilon must be positive and finite"),
         # an infinite L1 weight gave NaN at 0; a negative tau built a
         # nonconvex upper level that pb_apg ran silently to its cap
         ("l1_norm_inf", lambda: NonsmoothTerm.l1_norm(inf),

@@ -5,7 +5,6 @@ those two."""
 
 import dataclasses
 import json
-import math
 
 import numpy as np
 import pytest
@@ -17,8 +16,8 @@ from sbopt.bench.synth import synth_lrp, synth_lsrp
 from sbopt.model import (NonsmoothTerm, SmoothTerm, _affine_step,
                          _logistic_value, assemble_penalized,
                          least_squares_smooth_term, logistic_smooth_term)
-from sbopt.subgrad import (Diminishing, Domain, SubgradConfig,
-                           assemble_nonsmooth, subgrad_solve)
+from sbopt.prox import ProxSpec
+from sbopt.subgrad import Diminishing, Domain, SubgradConfig, subgrad_solve
 
 def _plain(term: SmoothTerm) -> SmoothTerm:
     """The same loss with the term's separate value and gradient oracles
@@ -132,28 +131,22 @@ class TestEnginesTakeTheSameIterates:
                              pb_apg_sc(plain, mu, x0, cfg))
 
     def test_subgrad_solve(self):
+        # phi = f1 + gamma*g1 from its fused oracle on g1's, against phi
+        # from its separate value and gradient on g1's separate ones
+        gamma = 3.0
+        psi = ProxSpec(f2=NonsmoothTerm.l1_norm(0.1),
+                       g2=NonsmoothTerm.l1_norm(0.02), gamma=gamma, prox=None)
+        cfg = SubgradConfig(schedule=Diminishing(2.0), max_iters=250,
+                            domain=Domain.l1_ball(5.0), record_every=9,
+                            keep_iterates=True)
         for _, instance in _instances():
-            g1 = instance.g1
-            plain = _plain(g1)
-            lip = 10.0
-            f_term = NonsmoothTerm(kind="l1", weight=0.1,
-                                   lipschitz=0.1 * math.sqrt(instance.dim))
-            fused = NonsmoothTerm.custom(g1.value, subgrad_oracle=g1.grad,
-                                         lipschitz=lip,
-                                         value_subgrad_oracle=g1.value_grad)
-            separate = NonsmoothTerm.custom(plain.value,
-                                            subgrad_oracle=plain.grad,
-                                            lipschitz=lip)
-            cfg = SubgradConfig(schedule=Diminishing(2.0), max_iters=250,
-                                domain=Domain.l1_ball(5.0), record_every=9,
-                                keep_iterates=True)
+            shipped, plain = self._pair(instance, gamma)
+            plain = dataclasses.replace(plain, phi=dataclasses.replace(
+                plain.phi, value_grad_oracle=None))
             x0 = np.zeros(instance.dim)
-            runs = []
-            for g_term in (fused, separate):
-                objective = assemble_nonsmooth(f_term, g_term, 3.0,
-                                               instance=instance)
-                runs.append(subgrad_solve(objective, x0, cfg))
-            _assert_same_run(*runs)
+            _assert_same_run(*(subgrad_solve(dataclasses.replace(
+                objective, psi=psi, subgrad_lipschitz=10.0), x0, cfg)
+                for objective in (shipped, plain)))
 
 
 class TestSubgradientBaselineOracleCalls:

@@ -18,6 +18,7 @@ from sbopt.model import (NonsmoothTerm, PenalizedObjective, SmoothTerm,
                          least_squares_smooth_term, logistic_smooth_term,
                          min_norm_problem)
 from sbopt.prox import compose_prox
+from sbopt.subgrad import Diminishing, SubgradConfig, subgrad_solve
 
 
 def _elastic_net_in_a_box(seed=0, m=15, n=8):
@@ -168,29 +169,43 @@ class TestSubgradientBaselineDomain:
         objective, domain, _ = _subgrad_baseline(inst, 10.0, np.zeros(5))
         assert domain.bounded and math.isfinite(objective.subgrad_lipschitz)
 
-    def test_non_indicator_g2_is_folded_into_the_lower_term(self):
+    def test_non_indicator_g2_stays_in_psi(self):
         inst = dataclasses.replace(self._min_norm(),
                                    g2=NonsmoothTerm.l1_norm(3.0))
         gamma, x = 10.0, np.ones(5)
-        objective, domain, _ = _subgrad_baseline(inst, gamma, np.zeros(5))
+        objective, domain, radius = _subgrad_baseline(inst, gamma, np.zeros(5))
         # F + gamma*G with gamma*g2 = 150; without g2 it would read 26.50
         assert objective.value(x) == pytest.approx(176.4955545873, abs=1e-9)
         assert objective.value(x) == pytest.approx(
             inst.upper_value(x) + gamma * inst.lower_value(x), rel=1e-15)
-        g_all = objective.psi.g2
-        np.testing.assert_allclose(g_all.subgradient(-x),
-                                   inst.g1.grad(-x) - 3.0, rtol=1e-15)
-        assert g_all.lipschitz == (
-            inst.g1.grad_bound(domain.term.norm_bound, 5) + 3.0 * math.sqrt(5))
+        assert objective.psi.g2 is inst.g2 and objective.psi.prox is None
+        xbound = domain.term.norm_bound
+        assert objective.subgrad_lipschitz == inst.f1.grad_bound(xbound, 5) \
+            + gamma * (inst.g1.grad_bound(xbound, 5) + 3.0 * math.sqrt(5))
+        # the first step adds gamma * 3 sign(x0) to grad phi
+        x0 = np.full(5, -0.1)
+        cfg = SubgradConfig(schedule=Diminishing(radius), max_iters=1,
+                            domain=domain, keep_iterates=True)
+        _, trace = subgrad_solve(objective, x0, cfg)
+        direction = x0 + gamma * (inst.g1.grad(x0) - 3.0)
+        eta = radius / objective.subgrad_lipschitz
+        np.testing.assert_allclose(
+            trace.iterates[1], domain.project(x0 - eta * direction),
+            rtol=1e-15)
 
     @pytest.mark.parametrize("make", [synth_lrp, synth_lsrp])
     def test_lower_bound_comes_from_the_term(self, make):
         inst = make(30, 12, 2)
         x_ref = np.full(inst.dim, 0.1)
-        objective, domain, _ = _subgrad_baseline(inst, 4.0, x_ref)
-        g_all = objective.psi.g2
-        assert g_all.lipschitz == inst.g1.grad_bound(domain.term.norm_bound,
-                                                     inst.dim)
+        gamma = 4.0
+        objective, domain, _ = _subgrad_baseline(inst, gamma, x_ref)
+        xbound, n = domain.term.norm_bound, inst.dim
+        # an indicator g2 is the domain, and psi holds the zero term instead
+        assert objective.psi.g2.kind == "zero" and objective.psi.f2 is inst.f2
+        l_upper = (inst.f1.grad_bound(xbound, n)
+                   + (inst.f2.subgradient_bound(n) or 0.0))
+        assert objective.subgrad_lipschitz == (
+            l_upper + gamma * inst.g1.grad_bound(xbound, n))
 
 
 class TestBoundedTraceRows:
@@ -240,7 +255,6 @@ class TestBoundedTraceRows:
         self._check(*self._runs(monkeypatch, run))
 
     def test_subgradient_solver(self, monkeypatch):
-        from sbopt.subgrad import Diminishing, SubgradConfig, subgrad_solve
         inst = synth_lrp(30, 6, 2)
         inst = inst.with_lower_opt_value(0.5)
         obj, domain, radius = _subgrad_baseline(inst, 10.0, np.zeros(6))
