@@ -33,7 +33,7 @@ from .prox import ProxSpec, compose_prox, project_box, project_l1_ball, prox_l1
 from .reference import (ReferenceReport, lower_opt_value,
                         min_norm_least_squares, upper_opt_value)
 from .subgrad import (Diminishing, Domain, StronglyConvex, SubgradConfig,
-                      assemble_nonsmooth, subgrad_solve, subgradient_oracle)
+                      assemble_subgradient, subgrad_solve, subgradient_oracle)
 
 __version__ = "0.1.0"
 

@@ -47,6 +47,8 @@ class LadderConfig:
             raise InvalidLadder("gamma0, epsilon0 and stop_epsilon must be positive")
         if not (self.nu > 1.0 and self.eta > 1.0):
             raise InvalidLadder(f"need nu > 1 and eta > 1, got nu={self.nu}, eta={self.eta}")
+        if math.inf in (self.gamma0, self.nu, self.eta, self.epsilon0, self.stop_epsilon):
+            raise InvalidLadder("gamma0, nu, eta, epsilon0 and stop_epsilon must be finite")
         try:
             last = self.epsilon0 / self.eta ** (MAX_STAGES - 1)
         except OverflowError:  # eta^(MAX_STAGES - 1) is past the float range

@@ -24,13 +24,12 @@ import numpy as np
 from .. import penalty
 from ..adaptive import LadderConfig, apb_apg, apb_apg_sc
 from ..apg import ApgConfig, gradient_mapping_norm, pb_apg, pb_apg_sc
-from ..errors import ConfigError, InvalidLadder, SboptError, UnsupportedTerm
-from ..model import (BilevelInstance, NonsmoothTerm, PenalizedObjective,
-                     _combine_smooth, assemble_penalized, elastic_net_problem,
-                     is_count, logistic_min_norm_problem)
-from ..prox import ProxSpec
+from ..errors import ConfigError, InvalidLadder, SboptError
+from ..model import (BilevelInstance, NonsmoothTerm, assemble_penalized,
+                     elastic_net_problem, is_count, logistic_min_norm_problem)
 from ..reference import ReferenceReport, lower_opt_value, upper_opt_value
-from ..subgrad import Diminishing, Domain, SubgradConfig, subgrad_solve
+from ..subgrad import (Diminishing, Domain, SubgradConfig,
+                       assemble_subgradient, subgrad_solve)
 from .data import augment_collinear, minmax_scale, parse_libsvm_path
 from .synth import synth_instance
 
@@ -325,29 +324,14 @@ def _apg_config(cfg: ExperimentConfig, epsilon: float) -> ApgConfig:
 
 
 def _subgrad_baseline(instance: BilevelInstance, gamma: float, x_ref):
-    """Projected-subgradient treatment of the whole penalized objective
-    phi + f2 + gamma*g2 with phi = f1 + gamma*g1: an indicator g2 becomes
-    the projection domain, and the other terms step along their gradients
-    or subgradients, with norm bounds over that domain."""
+    """The baseline's ``assemble_subgradient`` objective, its domain and its
+    step radius ||x_ref|| + 1: an indicator g2 is the projection domain,
+    else an L1 ball of twice ||x_ref||_1, and at least 2."""
     g2 = instance.g2
     domain = Domain(g2 if g2.is_indicator else NonsmoothTerm.indicator_l1_ball(
         2.0 * max(1.0, float(np.sum(np.abs(x_ref))))))
-    xbound = domain.term.norm_bound
-    if not math.isfinite(xbound):
-        raise UnsupportedTerm("the subgradient baseline needs a bounded domain")
-
-    f1, f2, g1, n = instance.f1, instance.f2, instance.g1, instance.dim
-    if g2.is_indicator:
-        g2 = NonsmoothTerm.zero()
-    # a zero term has no subgradient bound and adds nothing
-    l_upper = f1.grad_bound(xbound, n) + (f2.subgradient_bound(n) or 0.0)
-    l_lower = g1.grad_bound(xbound, n) + (g2.subgradient_bound(n) or 0.0)
-    objective = PenalizedObjective(
-        gamma=gamma, phi=_combine_smooth(f1, g1, gamma),
-        psi=ProxSpec(f2=f2, g2=g2, gamma=gamma, prox=None),
-        subgrad_lipschitz=l_upper + gamma * l_lower, instance=instance)
     radius = float(np.linalg.norm(x_ref)) + 1.0
-    return objective, domain, radius
+    return assemble_subgradient(instance, gamma, domain), domain, radius
 
 
 def _run_one_solver(name: str, cfg: ExperimentConfig,

@@ -100,8 +100,9 @@ class SmoothTerm:
         term's ``grad_bound_oracle`` if it has one, else L*radius + ||grad(0)||."""
         if self.grad_bound_oracle is not None:
             return self.grad_bound_oracle(radius, dim)
-        return (self.lipschitz_grad * radius
-                + float(np.linalg.norm(self.grad(np.zeros(dim)))))
+        # L = 0 adds 0 on any ball, where 0 * inf would be NaN
+        slope = self.lipschitz_grad * radius if self.lipschitz_grad else 0.0
+        return slope + float(np.linalg.norm(self.grad(np.zeros(dim))))
 
     @staticmethod
     def zero() -> "SmoothTerm":
@@ -138,9 +139,8 @@ class NonsmoothTerm:
     Supported kinds: ``zero``, ``l1`` (weighted L1 norm), ``l1_ball``
     (indicator of an L1 ball), ``box`` (indicator of a box), and ``custom``
     (user oracles); another kind raises UnsupportedTerm.  The methods below
-    are the one place that says what each kind means.  ``lipschitz`` is only
-    meaningful for terms used in subgradient mode and must be a bound over
-    the working domain.
+    are the one place that says what each kind means.  ``lipschitz`` bounds
+    a custom term's subgradients over the working domain.
     """
 
     kind: str
@@ -160,7 +160,7 @@ class NonsmoothTerm:
 
     @staticmethod
     def zero() -> "NonsmoothTerm":
-        return NonsmoothTerm(kind="zero", lipschitz=0.0)
+        return NonsmoothTerm(kind="zero")
 
     @staticmethod
     def l1_norm(weight: float = 1.0) -> "NonsmoothTerm":
@@ -314,6 +314,8 @@ class BilevelInstance:
             raise InvalidErrorBound(f"rho must be positive, got {self.rho}")
         if not self.subgrad_diameter > 0.0:
             raise ValueError("subgrad_diameter must be positive")
+        if self.lower_opt_value is not None and not math.isfinite(self.lower_opt_value):
+            raise ValueError("lower_opt_value must be finite or None")
 
     def upper_value(self, x: np.ndarray) -> float:
         return self.f1.value(x) + self.f2.value(x)
@@ -345,9 +347,8 @@ class PenalizedObjective:
     cancels out of the prox-gradient step exactly).
 
     ``l_gamma`` is the reported smoothness constant scale*(L_f1 + gamma*L_g1).
-    ``subgrad_lipschitz``, when available, bounds the norm of the
-    subgradient-mode step direction over the domain, as l_f2 + gamma*l_g2
-    does for a zero phi.  ``instance``, when set, is the instance it penalizes.
+    ``subgrad_lipschitz`` bounds the subgradient-mode step over the domain.
+    ``instance``, when set, is the instance it penalizes.
     """
 
     gamma: float
@@ -511,10 +512,8 @@ def assemble_penalized(instance: BilevelInstance, gamma: float) -> PenalizedObje
     combined prox.  The objective is linked to ``instance``, so traces report
     F, and lower-level residuals once the instance's G* is available.
     """
-    if not 0 < gamma < math.inf:
-        raise ValueError("gamma must be positive and finite")
+    psi = _prox.compose_prox(instance.f2, instance.g2, gamma)  # checks gamma
     phi = _combine_smooth(instance.f1, instance.g1, gamma)
-    psi = _prox.compose_prox(instance.f2, instance.g2, gamma)
     return PenalizedObjective(gamma=gamma, phi=phi, psi=psi, instance=instance)
 
 

@@ -85,6 +85,8 @@ def lower_opt_value(instance: BilevelInstance, tolerance: float = 1e-12,
     """
     if not tolerance > 0:
         raise ValueError("tolerance must be positive")
+    if not (is_count(max_iters, 1) and is_count(chunk, 1)):
+        raise ValueError("max_iters and chunk must be positive integers")
     g1, g2 = instance.g1, instance.g2
     if g1.tag == "least_squares" and g1.payload is not None:
         A, b = g1.payload

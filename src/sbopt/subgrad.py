@@ -22,7 +22,8 @@ import numpy as np
 from .apg import SolverTrace, _step_norm
 from .errors import (InfeasibleStart, InvalidStrongConvexity,
                      UnsupportedTerm)
-from .model import NonsmoothTerm, PenalizedObjective, SmoothTerm, is_count
+from .model import (BilevelInstance, NonsmoothTerm, PenalizedObjective,
+                    _combine_smooth, is_count)
 from .prox import ProxSpec
 
 
@@ -117,19 +118,29 @@ def subgradient_oracle(term: NonsmoothTerm, x: np.ndarray) -> np.ndarray:
     return term.subgradient(x)
 
 
-def assemble_nonsmooth(f2: NonsmoothTerm, g2: NonsmoothTerm, gamma: float,
-                       instance=None) -> PenalizedObjective:
-    """Penalized objective f2 + gamma*g2 in subgradient mode: no smooth part,
-    no prox requirement, l_gamma = l_f2 + gamma*l_g2 from the term constants.
-    A given ``instance`` is linked, so traces report its F and G - G*."""
+def assemble_subgradient(instance: BilevelInstance, gamma: float,
+                         domain: Domain) -> PenalizedObjective:
+    """The penalized objective of ``instance`` in subgradient mode, linked
+    to it: phi = f1 + gamma*g1 and psi = f2 + gamma*g2 with no prox, where a
+    term that is the domain's own (``Domain(instance.g2)``) is the zero
+    term.  ``subgrad_lipschitz`` is (l_f1 + l_f2) + gamma*(l_g1 + l_g2): the
+    terms' ``grad_bound`` or ``subgradient_bound`` (None reads 0) on the
+    ball of radius ``domain.term.norm_bound``.  Another indicator, or a
+    bound that is not finite, raises UnsupportedTerm."""
     if not 0 < gamma < math.inf:
         raise ValueError("gamma must be positive and finite")
-    if f2.lipschitz is None or g2.lipschitz is None:
-        raise UnsupportedTerm("subgradient mode needs Lipschitz constants on both terms")
-    psi = ProxSpec(f2=f2, g2=g2, gamma=gamma, prox=None)
-    return PenalizedObjective(gamma=gamma, phi=SmoothTerm.zero(), psi=psi,
-                              subgrad_lipschitz=f2.lipschitz + gamma * g2.lipschitz,
-                              instance=instance)
+    f1, g1, n, r = instance.f1, instance.g1, instance.dim, domain.term.norm_bound
+    f2, g2 = (NonsmoothTerm.zero() if term is domain.term else term
+              for term in (instance.f2, instance.g2))
+    if f2.is_indicator or g2.is_indicator:
+        raise UnsupportedTerm("an indicator has no subgradient: make it the domain")
+    l_gamma = ((f1.grad_bound(r, n) + (f2.subgradient_bound(n) or 0.0))
+               + gamma * (g1.grad_bound(r, n) + (g2.subgradient_bound(n) or 0.0)))
+    if not math.isfinite(l_gamma):
+        raise UnsupportedTerm(f"the subgradient bound on the domain is {l_gamma}")
+    return PenalizedObjective(gamma=gamma, phi=_combine_smooth(f1, g1, gamma),
+                              psi=ProxSpec(f2, g2, gamma, prox=None),
+                              subgrad_lipschitz=l_gamma, instance=instance)
 
 
 def subgrad_solve(objective: PenalizedObjective, x0: np.ndarray,

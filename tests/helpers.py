@@ -11,7 +11,7 @@ import numpy as np
 from sbopt.model import (BilevelInstance, NonsmoothTerm, PenalizedObjective,
                          SmoothTerm)
 from sbopt.prox import compose_prox
-from sbopt.subgrad import Domain, assemble_nonsmooth
+from sbopt.subgrad import Domain, assemble_subgradient
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +197,17 @@ class SeparableLipschitz:
     def objective(self, gamma=1.0):
         f2 = NonsmoothTerm.custom(self.value, subgrad_oracle=self.subgrad,
                                   lipschitz=self.lipschitz)
-        return assemble_nonsmooth(f2, NonsmoothTerm.zero(), gamma)
+        return assemble_subgradient(single_level(f2, self.n), gamma,
+                                    self.domain)
+
+
+def single_level(f2, dim, f1=None):
+    """The instance whose upper level is f1 + f2, with f1 zero unless given,
+    over a zero lower level: a single-level problem for
+    ``assemble_subgradient``."""
+    return BilevelInstance(dim=dim, f1=f1 or SmoothTerm.zero(), f2=f2,
+                           g1=SmoothTerm.zero(), g2=NonsmoothTerm.zero(),
+                           alpha=1.0, rho=1.0, subgrad_diameter=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,13 @@ class TestLadderBookkeeping:
             LadderConfig(gamma0=1.0, nu=2.0, eta=0.5, epsilon0=1.0)
         with pytest.raises(InvalidLadder):
             LadderConfig(gamma0=-1.0, nu=2.0, eta=2.0, epsilon0=1.0)
+        # an infinite one failed only when a stage ran, after stage 0 for
+        # nu and eta
+        good = dict(gamma0=1.0, nu=2.0, eta=2.0, epsilon0=1.0,
+                    stop_epsilon=1e-10)
+        for key in good:
+            with pytest.raises(InvalidLadder, match="must be finite"):
+                LadderConfig(**{**good, key: math.inf})
 
     def test_unreachable_stop_epsilon_rejected(self):
         # 1e-6 / 1.01^k reaches 1e-10 only after about 926 stages

@@ -25,7 +25,8 @@ from sbopt.model import (SmoothTerm, _affine_step, _least_squares_grad,
                          assemble_penalized, lambda_max_gram,
                          least_squares_smooth_term, logistic_smooth_term)
 from sbopt.reference import lower_opt_value
-from sbopt.subgrad import Diminishing, SubgradConfig, subgrad_solve
+from sbopt.subgrad import (Diminishing, Domain, SubgradConfig,
+                           assemble_subgradient, subgrad_solve)
 
 # ---------------------------------------------------------------------------
 # frozen references (do not edit: they pin the bits of the shipped kernels)
@@ -307,10 +308,8 @@ class TestSubgradientLoopIterates:
         instance = instance.with_lower_opt_value(ref.g_star)
         return instance, ref.x
 
-    def test_every_iterate(self, setup):
-        instance, x_ref = setup
-        gamma, iters = 50.0, 400
-        objective, domain, radius = _subgrad_baseline(instance, gamma, x_ref)
+    def _run_against_the_frozen_loop(self, instance, objective, domain,
+                                     radius, gamma, iters=400):
         cfg = SubgradConfig(schedule=Diminishing(radius), max_iters=iters,
                             domain=domain, record_every=13, keep_iterates=True)
         x0 = domain.project(np.zeros(instance.dim))
@@ -332,6 +331,21 @@ class TestSubgradientLoopIterates:
         assert len(trace.iterates) == len(want)
         for k, (got, ref) in enumerate(zip(trace.iterates, want)):
             assert _same(got, ref), k
+
+    def test_every_iterate(self, setup):
+        instance, x_ref = setup
+        gamma = 50.0
+        objective, domain, radius = _subgrad_baseline(instance, gamma, x_ref)
+        self._run_against_the_frozen_loop(instance, objective, domain,
+                                          radius, gamma)
+
+    def test_every_iterate_through_the_public_assembler(self, setup):
+        # one call from the instance, with g2's own ball as the domain
+        instance, _ = setup
+        gamma, domain = 50.0, Domain(instance.g2)
+        objective = assemble_subgradient(instance, gamma, domain)
+        self._run_against_the_frozen_loop(instance, objective, domain, 2.0,
+                                          gamma)
 
     def test_every_iterate_with_an_l1_upper_term(self):
         # least squares under an elastic-net upper level: f2 = ||x||_1 adds

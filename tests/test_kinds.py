@@ -7,11 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from helpers import single_level
 from sbopt.errors import InvalidStrongConvexity, UnsupportedTerm
 from sbopt.model import NonsmoothTerm
 from sbopt.prox import project_box, project_l1_ball, prox_l1
 from sbopt.subgrad import (Domain, StronglyConvex, SubgradConfig,
-                           assemble_nonsmooth, subgrad_solve,
+                           assemble_subgradient, subgrad_solve,
                            subgradient_oracle)
 
 RNG = np.random.default_rng(5)
@@ -141,7 +142,7 @@ class TestDomainIsItsIndicator:
         assert Domain.box([-1.0, 0.0], [1.0, 1.0]).bounded
         f2 = NonsmoothTerm.custom(lambda x: float(x @ x), lipschitz=1.0,
                                   subgrad_oracle=lambda x: 2.0 * x)
-        objective = assemble_nonsmooth(f2, NonsmoothTerm.zero(), 1.0)
+        objective = assemble_subgradient(single_level(f2, 2), 1.0, domain)
         config = SubgradConfig(schedule=StronglyConvex(2.0), max_iters=5,
                                domain=domain)
         with pytest.raises(InvalidStrongConvexity):

@@ -9,7 +9,8 @@ import pytest
 
 import sbopt
 import sbopt.model
-from helpers import central_diff, eigh_calls, toy_quadratic_instance
+from helpers import (central_diff, eigh_calls, single_level,
+                     toy_quadratic_instance)
 from sbopt.adaptive import LadderConfig, apb_apg, ladder_entry_index
 from sbopt.apg import ApgConfig, iteration_budget, pb_apg, pb_apg_sc, sc_budget
 from sbopt.bench.data import Dataset, augment_collinear
@@ -29,7 +30,7 @@ from sbopt.penalty import gamma_star, gamma_total, suboptimality_lower_bound
 from sbopt.prox import compose_prox
 from sbopt.reference import lower_opt_value, upper_opt_value
 from sbopt.subgrad import (Diminishing, Domain, StronglyConvex, SubgradConfig,
-                           assemble_nonsmooth, subgrad_solve)
+                           assemble_subgradient, subgrad_solve)
 
 
 class TestLipschitzCalculators:
@@ -437,7 +438,6 @@ def _nan_cases():
     cfg = ApgConfig(epsilon=1e-6)
     x0 = np.zeros(1)
     l1 = NonsmoothTerm.l1_norm(1.0)
-    l1_lip = dataclasses.replace(l1, lipschitz=1.0)
     A, b = np.eye(3), np.ones(3)
     nan_l = dataclasses.replace(obj.phi, lipschitz_grad=nan)
     return [
@@ -503,7 +503,8 @@ def _nan_cases():
          ValueError, "radius must be positive"),
         ("strongly_convex", lambda: StronglyConvex(nan),
          ValueError, "mu must be positive"),
-        ("assemble_nonsmooth", lambda: assemble_nonsmooth(l1, l1, nan),
+        ("assemble_subgradient", lambda: assemble_subgradient(
+            inst, nan, Domain.all_space()),
          ValueError, "gamma must be positive"),
         ("subgrad_max_iters", lambda: SubgradConfig(
             Diminishing(1.0), nan, Domain.all_space()),
@@ -512,8 +513,9 @@ def _nan_cases():
             Diminishing(1.0), 10, Domain.all_space(), record_every=nan),
          ValueError, "record_every must be a positive integer"),
         ("subgrad_lipschitz", lambda: subgrad_solve(
-            dataclasses.replace(assemble_nonsmooth(l1_lip, l1_lip, 1.0),
-                                subgrad_lipschitz=nan),
+            dataclasses.replace(assemble_subgradient(
+                single_level(l1, 2), 1.0, Domain.all_space()),
+                subgrad_lipschitz=nan),
             np.zeros(2), SubgradConfig(Diminishing(1.0), 10, Domain.all_space())),
          UnsupportedTerm, "no subgradient Lipschitz constant"),
         ("relaxation", lambda: upper_opt_value(inst, 0.0, relaxation=nan),
@@ -541,7 +543,8 @@ def _nan_cases():
          ValueError, "gamma must be positive and finite"),
         ("compose_prox_inf", lambda: compose_prox(l1, l1, inf),
          ValueError, "gamma must be positive and finite"),
-        ("assemble_nonsmooth_inf", lambda: assemble_nonsmooth(l1, l1, inf),
+        ("assemble_subgradient_inf", lambda: assemble_subgradient(
+            inst, inf, Domain.all_space()),
          ValueError, "gamma must be positive and finite"),
         ("pb_apg_overflow", lambda: pb_apg(obj, x0, ApgConfig(
             epsilon=1e-300, radius_bound=1e300)),
@@ -580,6 +583,21 @@ def _nan_cases():
         ("elastic_net_tau", lambda: elastic_net_problem(
             A, b, tau=-0.5, l_f=1.0),
          ValueError, "squared-norm weight must be nonnegative and finite"),
+        # an infinite G* let the relaxation rule accept G - G* = -inf, and
+        # a NaN one escalated gamma to its cap
+        *((f"lower_opt_value_{v}", lambda v=v: inst.with_lower_opt_value(v),
+           ValueError, "lower_opt_value must be finite or None")
+          for v in (nan, inf, -inf)),
+        *((f"upper_g_star_{v}", lambda v=v: upper_opt_value(inst, v),
+           ValueError, "lower_opt_value must be finite or None")
+          for v in (nan, inf, -inf)),
+        # a fractional max_iters raised TypeError from range, and a chunk
+        # of 0 or below checked the gradient-mapping norm every iteration
+        *((f"lower_{key}_{v}", lambda key=key, v=v: lower_opt_value(
+            inst, **{key: v}),
+           ValueError, "max_iters and chunk must be positive integers")
+          for key, v in (("max_iters", 2.5), ("chunk", 0), ("chunk", -5),
+                         ("chunk", 2.5))),
         ("lower_lipschitz", lambda: lower_opt_value(
             dataclasses.replace(inst, g1=dataclasses.replace(
                 inst.g1, lipschitz_grad=nan))),

@@ -6,14 +6,17 @@ import math
 import numpy as np
 import pytest
 
-from helpers import SeparableLipschitz
+from helpers import SeparableLipschitz, single_level
 from sbopt.apg import ApgConfig, pb_apg_sc
+from sbopt.bench.run import _build_instance, _subgrad_baseline, build_config
+from sbopt.bench.synth import synth_lrp, synth_lsrp
 from sbopt.errors import (InfeasibleStart, InvalidStrongConvexity,
                           UnsupportedTerm)
 from sbopt.model import (NonsmoothTerm, assemble_penalized,
                          elastic_net_problem, max_affine, squared_norm_term)
+from sbopt.reference import lower_opt_value
 from sbopt.subgrad import (Diminishing, Domain, StronglyConvex, SubgradConfig,
-                           assemble_nonsmooth, subgrad_solve,
+                           assemble_subgradient, subgrad_solve,
                            subgradient_oracle)
 
 
@@ -25,13 +28,15 @@ class TestSubgradientOracle:
             np.array([1.0, 0.0, -1.0]))
 
     def test_smooth_part_steps_along_its_gradient(self):
-        # phi = (1/2)||x||^2 with a zero psi: the first step is x0 - eta_0 x0
-        obj = dataclasses.replace(assemble_nonsmooth(
-            NonsmoothTerm.zero(), NonsmoothTerm.zero(), 1.0),
-            phi=squared_norm_term(1.0), subgrad_lipschitz=3.0)
+        # phi = (1/2)||x||^2 with a zero psi: the first step is x0 - eta_0 x0,
+        # and its gradient bound on the ball of radius 3 is 3
+        domain = Domain.l1_ball(3.0)
+        obj = assemble_subgradient(single_level(
+            NonsmoothTerm.zero(), 2, f1=squared_norm_term(1.0)), 1.0, domain)
+        assert obj.subgrad_lipschitz == 3.0
         x0 = np.array([0.3, -1.2])
         cfg = SubgradConfig(schedule=Diminishing(2.0), max_iters=1,
-                            domain=Domain.l1_ball(2.0), keep_iterates=True)
+                            domain=domain, keep_iterates=True)
         _, trace = subgrad_solve(obj, x0, cfg)
         np.testing.assert_array_equal(trace.iterates[1], x0 - (2.0 / 3.0) * x0)
 
@@ -80,7 +85,8 @@ class TestAbsoluteValueExample:
     def _objective(self):
         f2 = NonsmoothTerm.custom(lambda x: float(np.sum(np.abs(x))),
                                   subgrad_oracle=np.sign, lipschitz=1.0)
-        return assemble_nonsmooth(f2, NonsmoothTerm.zero(), 1.0)
+        return assemble_subgradient(single_level(f2, 1), 1.0,
+                                    Domain.box(np.array([-1.0]), np.array([1.0])))
 
     def test_best_value_decreases_and_meets_bound(self):
         obj = self._objective()
@@ -116,7 +122,8 @@ class TestStronglyConvexExample:
             lambda x: float(np.sum(np.abs(x)) + 0.5 * x @ x),
             subgrad_oracle=lambda x: np.sign(x) + x,
             lipschitz=3.0)
-        return assemble_nonsmooth(f2, NonsmoothTerm.zero(), 1.0)
+        return assemble_subgradient(single_level(f2, 1), 1.0,
+                                    Domain.box(np.array([-2.0]), np.array([2.0])))
 
     def test_bound_at_checkpoints(self):
         obj = self._objective()
@@ -187,7 +194,7 @@ class TestFeasibilityAndErrors:
         # 17.7), so the run that stays at 0 would meet it; this one gets
         # within 1e-8
         assert bests[-1] - phi_star <= 1e-7
-        # an assemble_nonsmooth objective and its scaled view still run
+        # a single-level objective and its scaled view still run
         inst = SeparableLipschitz(13)
         cfg = SubgradConfig(schedule=Diminishing(4.0), max_iters=10,
                             domain=inst.domain)
@@ -197,7 +204,57 @@ class TestFeasibilityAndErrors:
     def test_missing_lipschitz_rejected(self):
         f2 = NonsmoothTerm.custom(lambda x: 0.0, subgrad_oracle=np.zeros_like)
         with pytest.raises(UnsupportedTerm):
-            assemble_nonsmooth(f2, NonsmoothTerm.zero(), 1.0)
+            assemble_subgradient(single_level(f2, 1), 1.0, Domain.all_space())
+
+
+class TestAssembleSubgradient:
+    """One call builds the subgradient-mode objective of an instance."""
+
+    # subgrad_lipschitz of the harness baseline at gamma = 1e5, as
+    # float.hex, from when it built its objective by hand
+    FROZEN_BOUNDS = {"lrp-bench": "0x1.02c9094a61a03p+16",
+                     "lsrp-bench": "0x1.321947bc9e0edp+30"}
+
+    @pytest.mark.parametrize("preset", sorted(FROZEN_BOUNDS))
+    def test_bound_keeps_the_baselines_bits(self, preset):
+        cfg = build_config({"preset": preset})
+        inst = _build_instance(cfg)
+        x_ref = lower_opt_value(inst).x
+        baseline, domain, _ = _subgrad_baseline(inst, cfg.gamma, x_ref)
+        objective = assemble_subgradient(inst, cfg.gamma, domain)
+        for obj in (objective, baseline):
+            assert obj.subgrad_lipschitz.hex() == self.FROZEN_BOUNDS[preset]
+            assert obj.instance is inst and obj.psi.prox is None
+
+    def test_objective_is_the_whole_penalized_one(self):
+        # phi = f1 + gamma g1 and psi = f2 + gamma g2, not f2 + gamma g2 alone
+        inst = synth_lsrp(20, 12, 1)
+        gamma, x = 3.0, np.full(inst.dim, 0.05)
+        objective = assemble_subgradient(inst, gamma, Domain.l1_ball(5.0))
+        assert objective.value(x) == pytest.approx(
+            inst.upper_value(x) + gamma * inst.lower_value(x), rel=1e-15)
+        assert objective.psi.f2 is inst.f2 and objective.psi.g2 is inst.g2
+
+    def test_indicator_that_is_not_the_domain_raises(self):
+        inst = synth_lrp(30, 6, 2)  # g2 is an L1 ball
+        assemble_subgradient(inst, 1.0, Domain(inst.g2))
+        for domain in (Domain.l1_ball(5.0), Domain.all_space()):
+            with pytest.raises(UnsupportedTerm, match="make it the domain"):
+                assemble_subgradient(inst, 1.0, domain)
+        ball = dataclasses.replace(inst, f2=inst.g2, g2=NonsmoothTerm.zero())
+        with pytest.raises(UnsupportedTerm, match="make it the domain"):
+            assemble_subgradient(ball, 1.0, Domain.l1_ball(5.0))
+
+    def test_zero_smooth_parts_run_on_all_of_r_n(self):
+        f2 = NonsmoothTerm.custom(lambda x: float(np.sum(np.abs(x))),
+                                  subgrad_oracle=np.sign, lipschitz=2.0)
+        objective = assemble_subgradient(single_level(f2, 3), 1.0,
+                                         Domain.all_space())
+        assert objective.subgrad_lipschitz == 2.0
+        cfg = SubgradConfig(schedule=Diminishing(1.0), max_iters=5,
+                            domain=Domain.all_space())
+        x_best, _ = subgrad_solve(objective, np.ones(3), cfg)
+        assert np.abs(x_best).sum() < 3.0
 
 
 class TestSeededSuiteBounds:

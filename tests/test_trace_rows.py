@@ -148,6 +148,12 @@ class TestGradientBoundOnABall:
                           lambda x: x + 1.0, 1.0)
         assert term.grad_bound(2.0, 4) == 2.0 + 2.0
 
+    def test_zero_slope_bounds_all_of_r_n(self):
+        # L = 0 adds 0 on any ball, where L R was 0 * inf = NaN
+        assert SmoothTerm.zero().grad_bound(math.inf, 3) == 0.0
+        affine = SmoothTerm(lambda x: float(x.sum()), np.ones_like, 0.0)
+        assert affine.grad_bound(math.inf, 4) == 2.0
+
 
 class TestSubgradientBaselineDomain:
     def _min_norm(self):
