@@ -172,11 +172,12 @@ def parse_libsvm(lines: Iterable[str], n_features: Optional[int] = None,
     {0, 1, -1, +1} map onto {-1, +1}.  Raises ParseError with the 1-based
     line number of the first malformed token in file order, and on a label or
     value that is not finite (nan, inf, or a literal past the float range
-    such as 1e400) or an index past the int64 range.  A character in
-    U+DC80-U+DCFF, anywhere on a line, stands for the byte 0x80-0xff that
-    ``errors="surrogateescape"`` decoded it from: it raises ParseError naming
-    that byte.  A string is split into lines as a file is read: only "\\n",
-    "\\r" and "\\r\\n" end a line.
+    such as 1e400), an index past the int64 range, or a width whose dense
+    matrix cannot be allocated.  A character in U+DC80-U+DCFF, anywhere on
+    a line, stands for the byte 0x80-0xff that ``errors="surrogateescape"``
+    decoded it from: it raises ParseError naming that byte.  A string is
+    split into lines as a file is read: only "\\n", "\\r" and "\\r\\n" end
+    a line.
 
     Lines are read in blocks of ``BLOCK_LINES``.  Each line is split once;
     each block's tokens go through Python's own ``int`` and ``float``, so
@@ -211,7 +212,11 @@ def parse_libsvm(lines: Iterable[str], n_features: Optional[int] = None,
     cols = np.frombuffer(cols, dtype=np.int64)
     n_cols = (n_features if n_features is not None
               else int(cols.max(initial=-1)) + 1)
-    X = np.zeros((len(labels), n_cols))
+    try:
+        X = np.zeros((len(labels), n_cols))
+    except (ValueError, MemoryError):  # a width no dense matrix can hold
+        raise ParseError(f"a dense {len(labels)} x {n_cols} feature matrix "
+                         "cannot be allocated") from None
     X[np.frombuffer(rows, dtype=np.int64), cols] = np.frombuffer(vals)
     return Dataset(X, np.frombuffer(labels).copy())
 

@@ -5,6 +5,8 @@ Config files are plain text ``key = value`` lines ('#' comments allowed);
 command-line flags override file values and presets fill defaults.  Emitted
 numbers carry 17 significant digits.  The ``fixed_clock`` switch zeroes the
 elapsed column so that identical configs produce byte-identical files.
+Solvers may run side by side on forked helpers (see ``_run_solvers``); the
+files are the same bytes either way.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import json
 import logging
 import math
 import os
+import pickle
 import time
 import typing
 from dataclasses import dataclass, field
@@ -49,6 +52,14 @@ ORACLE_CALL_KEYS = ("gradient", "prox", "value", "projection")
 
 KNOWN_SOLVERS = ("pb_apg", "apb_apg", "pb_apg_sc", "apb_apg_sc", "subgrad")
 KNOWN_PROBLEMS = ("lrp-synth", "lsrp-synth", "lrp-libsvm", "lsrp-libsvm")
+
+# Solvers run on forked helpers only when the F* reference, the same engine
+# on the same objective, took at least this many seconds.  A fork plus
+# waitpid costs about 1.5 ms, and a helper's copy-on-write faults several
+# more: forking on every run moved the lrp-bench medians (F* about 5 ms)
+# from 10.8-15.1 to 15.8-18.2 ms, while lsrp-bench (F* about 55 ms) fell
+# from 1.5 to 0.8 s on two CPUs.
+FORK_MIN_S = 0.02
 
 # Benchmark parameter set: direct penalty 1e5, practical step stop 1e-10,
 # ladder 1/32 * 20^k with accuracies 1e-6 / 10^k down to 1e-10.
@@ -236,10 +247,12 @@ def build_config(values: Dict[str, object]) -> ExperimentConfig:
     solvers = [s.strip() for s in str(solvers_raw).split(",") if s.strip()]
     if not solvers:
         raise ConfigError("at least one solver is required", field="solvers")
-    for s in solvers:
+    for i, s in enumerate(solvers):
         if s not in KNOWN_SOLVERS:
             raise ConfigError(f"unknown solver {s!r} "
                               f"(known: {', '.join(KNOWN_SOLVERS)})", field="solvers")
+        if s in solvers[:i]:
+            raise ConfigError(f"solver {s!r} is listed twice", field="solvers")
 
     kwargs = {k: v for k, v in merged.items() if k != "solvers"}
     cfg = ExperimentConfig(solvers=solvers, **kwargs)
@@ -367,6 +380,102 @@ def _run_one_solver(name: str, cfg: ExperimentConfig,
     raise ConfigError(f"unknown solver {name!r}", field="solvers")
 
 
+def _outcome(name: str, cfg: ExperimentConfig, instance: BilevelInstance,
+             gamma: float, x_ref) -> SolverResult:
+    """The run's x_final, segments and wall time, or the error of the
+    SboptError it raised."""
+    res, t0 = SolverResult(name=name), time.perf_counter()
+    try:
+        res.x_final, res.segments = _run_one_solver(name, cfg, instance,
+                                                    gamma, x_ref)
+    except SboptError as exc:
+        res.error = f"{type(exc).__name__}: {exc}"
+    else:
+        res.wall_seconds = time.perf_counter() - t0
+    return res
+
+
+class _Hold(logging.Handler):
+    """Holds records as ``QueueHandler.prepare`` leaves them: the message
+    formatted, and no arguments or exception left to pickle."""
+
+    def __init__(self):
+        super().__init__()
+        self.held: list = []
+
+    def emit(self, record):
+        record.msg = self.format(record)
+        record.args = record.exc_info = record.exc_text = record.stack_info = None
+        self.held.append(record)
+
+
+def _run_solvers(cfg: ExperimentConfig, fstar_s: float,
+                 *args) -> Dict[str, SolverResult]:
+    """Each solver's ``_outcome(name, cfg, *args)``, in solver order.  If
+    F* took ``FORK_MIN_S`` or more and this process runs one OS thread (a
+    forked child of more may deadlock), up to one process per CPU runs
+    them: each takes its next solver's index from one pipe, a byte at a
+    time (such a read is atomic), and forked helpers pickle what they ran
+    to their own pipes.  The sbopt log records are held, then handled in
+    solver order."""
+    try:
+        procs = (1 if fstar_s < FORK_MIN_S or not hasattr(os, "fork")
+                 or len(os.listdir("/proc/self/task")) > 1
+                 else min(len(cfg.solvers), len(os.sched_getaffinity(0))))
+    except (OSError, AttributeError):  # no /proc or no sched_getaffinity
+        procs = 1
+    log.debug("solvers: %s path, %d process(es), F* took %.4f s",
+              "forked" if procs > 1 else "serial", procs, fstar_s)
+    if procs == 1:
+        return {name: _outcome(name, cfg, *args) for name in cfg.solvers}
+
+    def take():  # name -> (outcome, the log records it made)
+        done = {}
+        while index := os.read(queue, 1):
+            name, start = cfg.solvers[index[0]], len(sink.held)
+            done[name] = _outcome(name, cfg, *args), sink.held[start:]
+        return done
+
+    queue, w = os.pipe()
+    os.write(w, bytes(range(len(cfg.solvers))))
+    os.close(w)
+    sbopt_log, sink, helpers, sent = logging.getLogger("sbopt"), _Hold(), [], []
+    saved = sbopt_log.handlers, sbopt_log.propagate
+    sbopt_log.handlers, sbopt_log.propagate = [sink], False
+    try:
+        for _ in range(procs - 1):
+            r, w = os.pipe()
+            if (pid := os.fork()) == 0:  # a helper: it never returns
+                try:
+                    with open(w, "wb") as fh:
+                        try:
+                            pickle.dump(take(), fh)
+                        except BaseException as exc:  # the parent raises it
+                            pickle.dump(exc, fh)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            helpers.append((pid, open(r, "rb")))
+        done = take()
+    finally:
+        sbopt_log.handlers, sbopt_log.propagate = saved
+        os.read(queue, len(cfg.solvers))  # after a raise, helpers stop early
+        os.close(queue)
+        for pid, fh in helpers:
+            with fh:
+                sent.append(fh.read())
+            os.waitpid(pid, 0)
+    for data in sent:
+        got = pickle.loads(data)  # EOFError if a helper died unheard
+        if isinstance(got, BaseException):
+            raise got
+        done.update(got)
+    for name in cfg.solvers:
+        for record in done[name][1]:
+            logging.getLogger(record.name).handle(record)
+    return {name: done[name][0] for name in cfg.solvers}
+
+
 # ---------------------------------------------------------------------------
 # emission
 
@@ -454,22 +563,16 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
 
     ref = lower_opt_value(instance)
     instance = instance.with_lower_opt_value(ref.g_star)
+    t_upper = time.perf_counter()
     upper = upper_opt_value(instance, ref.g_star, relaxation=cfg.relaxation)
     report = RunReport(dataclasses.asdict(cfg), ref, upper)
+    report.solvers = _run_solvers(cfg, time.perf_counter() - t_upper,
+                                  instance, gamma, ref.x)
 
-    for name in cfg.solvers:
-        res = SolverResult(name=name)
-        t0 = time.perf_counter()
-        try:
-            x, segments = _run_one_solver(name, cfg, instance, gamma,
-                                          x_ref=ref.x)
-        except SboptError as exc:
-            res.error = f"{type(exc).__name__}: {exc}"
-            report.solvers[name] = res
+    for name, res in report.solvers.items():
+        if res.error is not None:
             continue
-        res.wall_seconds = time.perf_counter() - t0
-        res.segments = segments
-        res.x_final = x
+        x, segments = res.x_final, res.segments
         res.total_iterations = sum(t.total_iterations for _, _, t in segments)
         res.lower_value = instance.lower_value(x)
         res.lower_gap = res.lower_value - ref.g_star
@@ -487,7 +590,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         else:
             res.cert_passed = (res.lower_gap <= cfg.cert_g_target
                                and res.upper_gap <= cfg.cert_f_target)
-        report.solvers[name] = res
 
     report.wall_total = time.perf_counter() - t_start
 

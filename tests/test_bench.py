@@ -440,6 +440,25 @@ class TestCli:
         out = capsys.readouterr().out
         assert "pb_apg" in out and "pb_apg_sc" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["--solver", "pb_apg", "--solver", "pb_apg"],
+        ["--solver", "pb_apg", "--solver", "subgrad", "--solver", "pb_apg"]])
+    def test_repeated_solver_flag_is_a_config_error(self, capsys, argv):
+        # at the parent the solver ran twice and was reported once
+        assert cli_main(["--preset", "lrp-desk", "--m", "40", "--n", "10",
+                         *argv]) == 2
+        assert ("config error: solvers: solver 'pb_apg' is listed twice"
+                in capsys.readouterr().err)
+
+    def test_unallocatable_width_exits_2(self, tmp_path, capsys):
+        # at the parent np.zeros raised ValueError: a traceback and exit 1
+        path = tmp_path / "wide.libsvm"
+        path.write_text(f"1 {2 ** 63 - 1}:1\n")
+        assert cli_main(["--preset", "lrp-a1a", "--data", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "input error: a dense 1 x 9223372036854775807" in err
+        assert "Traceback" not in err
+
     def test_every_flag_reaches_the_config(self, monkeypatch):
         seen = {}
 
@@ -467,6 +486,7 @@ class TestCli:
         ("gamma", "-1"), ("gamma", "nan"), ("m", "0"), ("seed", "-1"),
         ("alpha", "0.5"), ("rho", "-1"), ("relaxation", "0"),
         ("step_tol", "-1"), ("theta", "0"), ("tau", "-1"), ("eta", "1"),
+        ("solvers", "pb_apg,pb_apg"),
     ])
     def test_out_of_range_value_is_a_config_error(self, tmp_path, capsys,
                                                   key, value):

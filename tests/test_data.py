@@ -102,6 +102,24 @@ class TestParseLibsvm:
         assert err.value.line == 2
         assert f"feature index {index} is past the int64 range" in str(err.value)
 
+    def test_width_no_dense_matrix_can_hold_is_a_parse_error(self):
+        # the index fits int64, so np.zeros raised "array is too big", a
+        # ValueError, at the parent
+        with pytest.raises(ParseError, match="dense 1 x 9223372036854775807"):
+            parse_libsvm(f"1 {2 ** 63 - 1}:1\n")
+
+    def test_matrix_out_of_memory_is_a_parse_error(self, monkeypatch):
+        zeros = np.zeros
+
+        def no_memory(shape, *args, **kwargs):
+            if isinstance(shape, tuple):  # the dense matrix, not a buffer
+                raise MemoryError
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", no_memory)
+        with pytest.raises(ParseError, match="dense 2 x 3 feature matrix"):
+            parse_libsvm("+1 1:1\n-1 3:2\n")
+
     def test_index_past_int64_after_a_width_or_order_error(self):
         with pytest.raises(ParseError, match="exceeds declared width 5"):
             parse_libsvm(f"+1 {2 ** 64}:1", n_features=5)
