@@ -24,8 +24,7 @@ from .model import (BilevelInstance, NonsmoothTerm, PenalizedObjective,
                     l_f_elastic_net, l_f_min_norm, lambda_max_gram,
                     least_squares_smooth_term, lipschitz_least_squares,
                     lipschitz_logistic, logistic_min_norm_problem,
-                    logistic_smooth_term, max_affine, min_norm_problem,
-                    squared_norm_term)
+                    logistic_smooth_term, min_norm_problem, squared_norm_term)
 from .penalty import (Certificate, PenaltyPlan, certify, gamma_star,
                       gamma_total, implied_lower_gap, make_plan,
                       suboptimality_lower_bound)

@@ -117,8 +117,7 @@ def _run_ladder(instance: BilevelInstance, x0, ladder: LadderConfig,
         cfg = dataclasses.replace(apg_cfg, epsilon=eps_k, radius_bound=radius)
         x, trace = (pb_apg_sc(objective, objective.strong_convexity, x, cfg)
                     if engine == "apg_sc" else pb_apg(objective, x, cfg))
-        g_gap = (None if instance.lower_opt_value is None
-                 else instance.lower_gap(x))
+        g_gap = None if instance.lower_opt_value is None else trace.g_gaps[-1]
         log.debug("ladder stage %d: gamma=%g, eps=%g, %d iterations, %s, "
                   "G gap %s", k, gamma_k, eps_k, trace.total_iterations,
                   trace.terminal_reason, g_gap)

@@ -232,21 +232,21 @@ def _accelerate(objective: PenalizedObjective, x: np.ndarray, budget: int,
     With restart on, ``certified(k, x_k, y_{k-1} - x_k)`` runs after each
     iteration k, and a true return ends the run as "certified".
 
-    The run allocates its arrays once: x_{k-1}, x_k and x_{k+1} rotate
-    through three of them, and y_k, the prox input and the step go into
+    The run allocates its arrays once: x_k and x_{k+1} rotate through two
+    of them, and y_k, the prox input and the step d = x_k - x_{k-1} go into
     three more, which grad_step and prox_step fill through ``out``; the
-    gradient under grad_step is new at each call.  A restart copies x_k into
-    x_{k-1}.  Each array is computed by the NumPy operations of
-    y = x + c (x - x_prev),
-    x_next = prox_step(y - grad_step(y)),  in that order, so the iterates
-    keep every bit of that form, or, where ``_affine_step(objective.phi)``
-    gives (M, c), of  M y + c  in place of  y - grad_step(y).  The returned
-    x is never written again.
+    gradient under grad_step is new at each call.  d starts at zero, and a
+    restart zeroes it.  Each array is computed by the NumPy operations of
+    y = x + c d,  x_next = prox_step(y - grad_step(y)),  in that order, so
+    the iterates keep every bit of  y = x + c (x - x_prev)  (where that is
+    x - x, it is the +0.0 of a zeroed d, and c >= 0), or, where
+    ``_affine_step(objective.phi)`` gives (M, c), of  M y + c  in place of
+    y - grad_step(y).  The returned x is never written again.
     """
     cap = budget if config.max_iters is None else min(budget, config.max_iters)
     reason = "max_iters" if cap < budget else "budget_reached"
-    x_prev, x, x_next = x.copy(), x.copy(), np.empty_like(x)
-    y, v, d = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    x, x_next = x.copy(), np.empty_like(x)
+    y, v, d = np.empty_like(x), np.empty_like(x), np.zeros_like(x)
     grad_step, prox_step = objective.grad_step, objective.prox_step
     M, c = _affine_step(objective.phi) or (None, None)
     record, keep = trace.record, config.keep_iterates
@@ -264,8 +264,7 @@ def _accelerate(objective: PenalizedObjective, x: np.ndarray, budget: int,
             th_prev, th = th, next_theta(th)
         coeff = coeffs[j] if beta is None else beta
         j += 1
-        np.subtract(x, x_prev, y)
-        y *= coeff
+        np.multiply(d, coeff, y)
         y += x
         if M is None:
             np.subtract(y, grad_step(y, v), v)
@@ -274,14 +273,14 @@ def _accelerate(objective: PenalizedObjective, x: np.ndarray, budget: int,
             v += c
         prox_step(v, x_next)
         step_norm = _step_norm(np.subtract(x_next, x, d), x_next, trace)
-        x_prev, x, x_next = x, x_next, x_prev
+        x, x_next = x_next, x
         if keep:
             trace.iterates.append(x.copy())
         # y - x_{k+1} is the prox-gradient step taken at y, so a positive
         # product means the momentum carried the iterate uphill.
         if restart and np.subtract(y, x, v).dot(d) > 0.0:
             j = 0
-            np.copyto(x_prev, x)
+            d.fill(0.0)
             trace.restarts += 1
         stop = certified is not None and certified(k + 1, x, v)
         done = stop or (k + 1 == cap) or (tol > 0.0 and step_norm <= tol)

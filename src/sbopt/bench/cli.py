@@ -1,9 +1,9 @@
 """Command-line entry point for the benchmark harness.
 
 Exit codes: 0 all certificates pass, 1 certificate failure, 2 configuration
-error (unknown key, unparsable or out-of-range value, unreadable config or
-data file, malformed data file), 3 solver error or failed reference
-computation.
+error (unknown key, unparsable or out-of-range value, synthetic size that
+cannot be allocated, unreadable config or data file, malformed data file),
+3 solver error or failed reference computation.
 """
 
 from __future__ import annotations
@@ -64,6 +64,9 @@ def main(argv=None) -> int:
 
     try:
         report = run_experiment(cfg)
+    except ConfigError as exc:  # a synthetic size that cannot be allocated
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except (OSError, ParseError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

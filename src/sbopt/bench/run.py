@@ -215,6 +215,8 @@ _RANGES = (
      "nonnegative and finite"),
     (("alpha",), lambda v: 1.0 <= v < math.inf, "at least 1 and finite"),
     (("nu", "eta"), lambda v: 1.0 < v < math.inf, "above 1 and finite"),
+    (("cert_g_target", "cert_f_target"), lambda v: not math.isnan(v),
+     "a number, not NaN"),
 )
 
 
@@ -297,10 +299,14 @@ def _build_instance(cfg: ExperimentConfig) -> BilevelInstance:
         ("alpha", cfg.alpha), ("rho", cfg.rho), ("subgrad_diameter", cfg.lf))
         if value is not None}
 
-    if cfg.problem == "lrp-synth":
-        instance = synth_instance("lrp", cfg.m, cfg.n, cfg.seed, theta=cfg.theta)
-    elif cfg.problem == "lsrp-synth":
-        instance = synth_instance("lsrp", cfg.m, cfg.n, cfg.seed, tau=cfg.tau)
+    if cfg.problem.endswith("synth"):
+        family = cfg.problem[:-len("-synth")]
+        param = {"theta": cfg.theta} if family == "lrp" else {"tau": cfg.tau}
+        try:
+            instance = synth_instance(family, cfg.m, cfg.n, cfg.seed, **param)
+        except (ValueError, MemoryError) as exc:  # from the generator's arrays
+            raise ConfigError(f"a {cfg.m} x {cfg.n} synthetic instance cannot "
+                              f"be allocated ({exc})") from None
     elif cfg.problem == "lrp-libsvm":
         data = parse_libsvm_path(cfg.data, coerce_binary_labels=True)
         # the loss term keeps its own read-only copy of the matrix
@@ -548,7 +554,19 @@ def _report_json(report: RunReport, fixed_clock: bool) -> str:
         },
         "wall_total": 0.0 if fixed_clock else report.wall_total,
     }
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return json.dumps(_finite_or_null(payload), indent=2, sort_keys=True,
+                      allow_nan=False)
+
+
+def _finite_or_null(value):
+    """``value`` with each non-finite float in it, at any depth of dicts and
+    lists, replaced by None, so strict JSON parsers read the report."""
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(item) for item in value]
+    finite = not isinstance(value, float) or math.isfinite(value)
+    return value if finite else None
 
 
 # ---------------------------------------------------------------------------

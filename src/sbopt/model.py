@@ -262,25 +262,6 @@ class NonsmoothTerm:
         return self.kind in ("l1_ball", "box")
 
 
-def max_affine(A, c) -> NonsmoothTerm:
-    """Piecewise-linear term  x -> max_i (A[i] @ x + c[i]).
-
-    The subgradient oracle returns the row of the lowest active index, so
-    ties resolve deterministically.
-    """
-    A = _frozen_copy(A)
-    c = _frozen_copy(c)
-
-    def value(x):
-        return float(np.max(A @ x + c))
-
-    def subgrad(x):
-        return A[int(np.argmax(A @ x + c))].copy()
-
-    lip = float(np.max(np.linalg.norm(A, axis=1))) if A.size else 0.0
-    return NonsmoothTerm.custom(value, subgrad_oracle=subgrad, lipschitz=lip)
-
-
 # ---------------------------------------------------------------------------
 # bilevel instance
 

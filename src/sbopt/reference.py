@@ -232,11 +232,11 @@ def upper_opt_value(instance: BilevelInstance, g_star: float,
     gamma = GAMMA0
     solves = iterations = 0
     lower = upper = None
+    cfg = ApgConfig(epsilon=1e-18, max_iters=max_iters_per_solve,
+                    step_tolerance=STEP_TOLERANCE, restart=True,
+                    record_every=max_iters_per_solve)
     while gamma <= GAMMA_CAP:
         objective = assemble_penalized(inst, gamma)
-        cfg = ApgConfig(epsilon=1e-18, max_iters=max_iters_per_solve,
-                        step_tolerance=STEP_TOLERANCE, restart=True,
-                        record_every=max_iters_per_solve)
         mu = objective.strong_convexity
         x, trace = (pb_apg_sc(objective, mu, x, cfg) if mu > 0
                     else pb_apg(objective, x, cfg))
@@ -248,9 +248,9 @@ def upper_opt_value(instance: BilevelInstance, g_star: float,
             raise Nonconvergence(
                 f"upper-level reference solve at gamma={gamma:g} hit its "
                 f"{max_iters_per_solve}-iteration cap",
-                best_value=inst.upper_value(x),
+                best_value=trace.f_values[-1],
                 certificate=gradient_mapping_norm(objective, x))
-        gap = inst.lower_gap(x)
+        gap = trace.g_gaps[-1]
         if bracket is not None:
             lower, upper = bracket(gamma, x)
         log.debug("F* gamma=%g: %d iterations, lower gap %.3g, bracket "
@@ -259,7 +259,7 @@ def upper_opt_value(instance: BilevelInstance, g_star: float,
         if bracketed or gap <= relaxation:
             return ReferenceReport(
                 g_star=g_star,
-                f_star=inst.upper_value(x) if lower is None else lower,
+                f_star=trace.f_values[-1] if lower is None else lower,
                 method=f"penalty_escalation(gamma={gamma:g})",
                 residual_certificate=gradient_mapping_norm(objective, x),
                 relaxation_epsilon=relaxation, achieved_lower_gap=gap, x=x,

@@ -232,6 +232,26 @@ class TestBenchmarkLadderShape:
         assert gap_ladder <= 10.0 * gap_direct + 1e-12
 
 
+class TestStageGapsFromTraceRows:
+    @pytest.mark.parametrize("runner", [apb_apg, apb_apg_sc])
+    @pytest.mark.parametrize("preset", ["lrp-bench", "lsrp-bench"])
+    def test_stage_gap_is_the_lower_gap_of_its_output(self, preset, runner):
+        # a stage reads G - G* from its trace's last row, which the engine
+        # records at the stage output, summed as lower_gap sums it
+        from sbopt.bench.run import (_apg_config, _build_instance,
+                                     _ladder_config, build_config)
+        from sbopt.reference import lower_opt_value
+
+        cfg = build_config({"preset": preset})
+        inst = _build_instance(cfg)
+        inst = inst.with_lower_opt_value(lower_opt_value(inst).g_star)
+        _, stages = runner(inst, np.zeros(inst.dim), _ladder_config(cfg),
+                           _apg_config(cfg, cfg.epsilon0))
+        assert len(stages) > 1
+        for stage in stages:
+            assert stage.g_gap == inst.lower_gap(stage.x)
+
+
 class TestScVariant:
     def test_same_shapes_as_plain(self):
         inst = toy_quadratic_instance()

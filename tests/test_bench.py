@@ -24,6 +24,13 @@ FAST = {
 }
 
 
+def strict_json(text):
+    """json.loads that rejects NaN and +-Infinity, as JSON.parse and jq do."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
 class TestConfigValidation:
     def test_unknown_solver(self):
         with pytest.raises(ConfigError) as err:
@@ -260,6 +267,9 @@ class TestRunExperiment:
             assert [r.split(",")[0] for r in rows[1:]] == [good, bad]
             assert rows[2].split(",")[-1] == "error"
             assert rows[1].split(",")[-1] != "error"
+            # the error row's NaN values are nulls in report.json
+            solvers = strict_json((out / "report.json").read_text())["solvers"]
+            assert solvers[bad]["lower_level_value"] is None
             assert cli_main(["--config", str(cfg),
                              "--out-dir", str(tmp_path / f"cli{i}")]) == 3
 
@@ -322,6 +332,11 @@ class TestDeskPreset:
         assert res.lower_gap <= 1e-7
         assert res.cert_passed
         assert (tmp_path / "summary.csv").exists()
+        # strict JSON: at the parent every report held "cert_f_target":
+        # Infinity, which JSON.parse and jq reject
+        payload = strict_json((tmp_path / "report.json").read_text())
+        assert payload["config"]["cert_f_target"] is None
+        assert payload["config"]["cert_g_target"] == 1e-7
 
 
 class TestLibsvmProblem:
@@ -459,6 +474,27 @@ class TestCli:
         assert "input error: a dense 1 x 9223372036854775807" in err
         assert "Traceback" not in err
 
+    def test_unallocatable_synthetic_size_exits_2(self, capsys):
+        # at the parent rng.normal raised ValueError: a traceback and exit 1
+        assert cli_main(["--problem", "lrp-synth", "--m", "10000000000",
+                         "--n", "10000000000", "--solver", "pb_apg",
+                         "--gamma", "1e4"]) == 2
+        err = capsys.readouterr().err
+        assert ("config error: a 10000000000 x 10000000000 synthetic "
+                "instance cannot be allocated" in err)
+        assert "Traceback" not in err
+
+    def test_synthetic_memory_error_exits_2(self, monkeypatch, capsys):
+        # at the parent the MemoryError escaped cli.main
+        def exhausted(family, m, n, seed, **kwargs):
+            raise MemoryError(f"no memory for {m} x {n}")
+
+        monkeypatch.setattr(run_module, "synth_instance", exhausted)
+        assert cli_main(["--problem", "lsrp-synth", "--m", "40", "--n", "10",
+                         "--solver", "pb_apg", "--gamma", "1e4"]) == 2
+        assert ("config error: a 40 x 10 synthetic instance cannot be "
+                "allocated (no memory for 40 x 10)" in capsys.readouterr().err)
+
     def test_every_flag_reaches_the_config(self, monkeypatch):
         seen = {}
 
@@ -486,7 +522,8 @@ class TestCli:
         ("gamma", "-1"), ("gamma", "nan"), ("m", "0"), ("seed", "-1"),
         ("alpha", "0.5"), ("rho", "-1"), ("relaxation", "0"),
         ("step_tol", "-1"), ("theta", "0"), ("tau", "-1"), ("eta", "1"),
-        ("solvers", "pb_apg,pb_apg"),
+        ("solvers", "pb_apg,pb_apg"), ("cert_g_target", "nan"),
+        ("cert_f_target", "nan"),
     ])
     def test_out_of_range_value_is_a_config_error(self, tmp_path, capsys,
                                                   key, value):

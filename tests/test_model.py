@@ -24,7 +24,7 @@ from sbopt.model import (BilevelInstance, NonsmoothTerm, SmoothTerm,
                          least_squares_smooth_term,
                          lipschitz_least_squares, lipschitz_logistic,
                          logistic_min_norm_problem, logistic_smooth_term,
-                         max_affine, elastic_net_problem, min_norm_problem,
+                         elastic_net_problem, min_norm_problem,
                          squared_norm_term)
 from sbopt.penalty import gamma_star, gamma_total, suboptimality_lower_bound
 from sbopt.prox import compose_prox
@@ -268,40 +268,12 @@ class TestNonsmoothTerm:
         t = NonsmoothTerm.l1_norm(2.0)
         assert t.value(np.array([1.0, -3.0])) == pytest.approx(8.0)
 
-    def test_max_affine_lowest_index_at_ties(self):
-        term = max_affine(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-                          np.array([0.0, 0.0, 0.0]))
-        g = term.subgrad_oracle(np.array([1.0, 1.0]))  # rows 0,1,2 all tie
-        np.testing.assert_array_equal(g, np.array([1.0, 0.0]))
-
-    def test_max_affine_and_box_do_not_alias_caller_arrays(self):
-        A = np.array([[1.0, 0.0], [0.0, 1.0]])
-        c = np.array([1.0, 0.0])
-        term = max_affine(A, c)
-        x = np.array([1.0, 0.5])
-        value, lip = term.value(x), term.lipschitz
-        assert (value, lip) == (2.0, 1.0)
-        A *= 10.0
-        assert term.value(x) == value
-        assert term.lipschitz == lip
-        np.testing.assert_array_equal(term.subgrad_oracle(x), [1.0, 0.0])
-
+    def test_indicator_box_does_not_alias_caller_arrays(self):
         lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
         box = NonsmoothTerm.indicator_box(lo, hi)
         hi[:] = lo
         assert box.value(np.array([0.5, -0.5])) == 0.0
         assert not box.lo.flags.writeable and not box.hi.flags.writeable
-
-    def test_max_affine_subgradient_inequality(self):
-        rng = np.random.default_rng(9)
-        A = rng.normal(size=(4, 3))
-        c = rng.normal(size=4)
-        term = max_affine(A, c)
-        for _ in range(100):
-            x = rng.normal(size=3)
-            g = term.subgrad_oracle(x)
-            y = rng.normal(size=3)
-            assert term.value(y) >= term.value(x) + g @ (y - x) - 1e-10
 
 
 class TestInstanceValidation:

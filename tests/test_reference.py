@@ -295,6 +295,23 @@ class TestUpperOptValue:
         assert np.isfinite(err.value.best_value)
         assert err.value.certificate > 0.0
 
+    @pytest.mark.parametrize("build, method", [
+        (lambda: _sparse_logistic(0), "relaxation"),
+        (lambda: synth_lsrp(100, 190, 3), "dual_bracket")],
+        ids=["sparse_logistic", "lsrp-bench"])
+    def test_gap_and_value_are_those_of_the_returned_point(self, build,
+                                                           method):
+        # both come from the last solve's final trace row, which the engine
+        # records at the point it returns; the logistic gap is not zero
+        inst = build()
+        g_star = lower_opt_value(inst).g_star
+        up = upper_opt_value(inst, g_star, relaxation=1e-9)
+        inst = inst.with_lower_opt_value(g_star)
+        assert up.f_star_method == method
+        assert up.achieved_lower_gap == inst.lower_gap(up.x)
+        if method == "relaxation":
+            assert up.f_star == inst.upper_value(up.x)
+
     def test_theorem_lower_bound_against_reference(self):
         # suboptimality of certified points never undershoots the bound
         from sbopt.apg import ApgConfig, pb_apg

@@ -13,7 +13,7 @@ from sbopt.bench.synth import synth_lrp, synth_lsrp
 from sbopt.errors import (InfeasibleStart, InvalidStrongConvexity,
                           UnsupportedTerm)
 from sbopt.model import (NonsmoothTerm, assemble_penalized,
-                         elastic_net_problem, max_affine, squared_norm_term)
+                         elastic_net_problem, squared_norm_term)
 from sbopt.reference import lower_opt_value
 from sbopt.subgrad import (Diminishing, Domain, StronglyConvex, SubgradConfig,
                            assemble_subgradient, subgrad_solve,
@@ -46,8 +46,14 @@ class TestSubgradientOracle:
 
     def test_validity_on_random_directions(self):
         rng = np.random.default_rng(0)
-        terms = [NonsmoothTerm.l1_norm(0.7),
-                 max_affine(rng.normal(size=(5, 3)), rng.normal(size=5))]
+        # x -> max_i (A[i] @ x + c[i]), whose subgradient is the row of the
+        # lowest active index
+        A, c = rng.normal(size=(5, 3)), rng.normal(size=5)
+        piecewise_linear = NonsmoothTerm.custom(
+            lambda x: float(np.max(A @ x + c)),
+            subgrad_oracle=lambda x: A[int(np.argmax(A @ x + c))].copy(),
+            lipschitz=float(np.max(np.linalg.norm(A, axis=1))))
+        terms = [NonsmoothTerm.l1_norm(0.7), piecewise_linear]
         for term in terms:
             value = (lambda v: term.value(v)) if term.kind != "custom" \
                 else term.value_oracle
